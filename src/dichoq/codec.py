@@ -16,6 +16,7 @@ Table JSON schema:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,17 @@ class DichotomicTable:
 
 
 def table_from_json_dict(payload: dict) -> DichotomicTable:
-    dim = int(payload["dim"])
+    dim = operator.index(payload["dim"])
     p3_list = payload["p3"]
     if len(p3_list) != dim - 1:
         raise TableInvariantError(f"p3 must have {dim - 1} entries, got {len(p3_list)}")
     p3 = {j + 1: float(v) for j, v in enumerate(p3_list)}
+    plane_count = dim * (dim - 1) // 2
+    if len(payload["planes"]) != plane_count:
+        raise TableInvariantError(
+            f"planes must list each of the {plane_count} planes once, "
+            f"got {len(payload['planes'])} records"
+        )
     p1: dict[tuple[int, int], float] = {}
     p2: dict[tuple[int, int], float] = {}
     for rec in payload["planes"]:

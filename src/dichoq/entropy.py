@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import raw_probabilities
+from .codec import PROB_TOL, raw_probabilities
 from .errors import BadFactorization, OutOfRange
 from .matcore import DensityMatrix
 from .reduction import Factorization, block_decompose
 from .report import InequalityReport
 
-PROB_TOL = 1e-10
 Q_MAX = 10.0
 
 

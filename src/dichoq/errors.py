@@ -34,14 +34,7 @@ class NotPositive(DichoqError):
 
 
 class ConvergenceFailure(DichoqError):
-    """Iterative eigensolver did not reach its threshold."""
-
-    def __init__(self, sweeps: int, off_norm: float):
-        self.sweeps = sweeps
-        self.off_norm = off_norm
-        super().__init__(
-            f"no convergence after {sweeps} sweeps (off-diagonal norm {off_norm:.3e})"
-        )
+    """The eigensolver reported that it did not converge."""
 
 
 class NotOrthogonal(DichoqError):

@@ -73,9 +73,14 @@ def su2_generators(dim: int, plane: PlaneIndex):
 
 def check_rotation(rotation) -> np.ndarray:
     """Validate a 3x3 special orthogonal matrix and return it as float64."""
-    r = np.asarray(rotation, dtype=float)
+    try:
+        r = np.asarray(rotation, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"rotation entries must be numbers: {exc}") from exc
     if r.shape != (3, 3):
         raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise DimensionMismatch("rotation entries must be finite")
     if np.abs(r.T @ r - np.eye(3)).max() > ORTHO_TOL:
         raise NotOrthogonal("R^T R differs from identity beyond tolerance")
     if abs(np.linalg.det(r) - 1.0) > 1e-10:

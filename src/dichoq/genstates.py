@@ -115,14 +115,7 @@ def random_product(n: int, m: int, seed: int) -> DensityMatrix:
     """
     if n < 2 or m < 2:
         raise OutOfRange(f"factors must be >= 2, got ({n}, {m})")
-    rng = PortableRng(seed)
-    ga = rng.complex_normals(n * n).reshape(n, n)
-    gb = rng.complex_normals(m * m).reshape(m, m)
-    a = ga @ ga.conj().T
-    a /= a.trace().real
-    b = gb @ gb.conj().T
-    b /= b.trace().real
-    rho = np.kron(a, b)
+    rho = np.kron(*product_factors(n, m, seed))
     rho = (rho + rho.conj().T) / 2.0
     rho.setflags(write=False)
     return validate_density(HermitianMatrix(rho))

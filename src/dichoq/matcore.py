@@ -1,15 +1,15 @@
 """Dense complex-matrix foundation.
 
-Hermitian matrices and density matrices as validated value types, a
-dependency-free cyclic Jacobi eigensolver for complex Hermitian matrices,
-determinant and purity, and the JSON schema for matrices:
+Hermitian matrices and density matrices as validated value types, their
+spectra from LAPACK through numpy, determinant and purity, and the JSON
+schema for matrices:
 
     {"dim": N, "entries": [[re, im], ...]}   # row-major, N^2 pairs
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +25,6 @@ from .errors import (
 TOL_HERM = 1e-12
 TOL_TRACE = 1e-12
 TOL_PSD = 1e-10
-
-# Jacobi sweep controls: off-diagonal Frobenius threshold scales with the
-# dimension and with the matrix norm so the stopping test is meaningful for
-# non-unit-scale input.
-MAX_SWEEPS = 100
-OFF_DIAG_FACTOR = 1e-14
 
 
 def _as_complex_array(entries, dim: int) -> np.ndarray:
@@ -129,66 +123,6 @@ def make_hermitian(dim: int, entries) -> HermitianMatrix:
     return HermitianMatrix(sym)
 
 
-def _jacobi_sweeps(a: np.ndarray, compute_vectors: bool):
-    """Cyclic Jacobi on a Hermitian matrix with complex plane rotations.
-
-    Returns (diagonal eigenvalues in solver order, accumulated unitary or
-    None). The working copy stays exactly Hermitian: each rotation zeroes
-    the target pair and re-realifies the touched diagonal entries.
-    """
-    n = a.shape[0]
-    a = a.astype(np.complex128, copy=True)
-    v = np.eye(n, dtype=np.complex128) if compute_vectors else None
-    if n == 1:
-        return a.real.diagonal().copy(), v
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    off_thresh = OFF_DIAG_FACTOR * n * scale
-    rot_eps = off_thresh / (n * n)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries; the norm-minus-diagonal
-        # shortcut cancels catastrophically near convergence
-        sq = np.abs(a) ** 2
-        np.fill_diagonal(sq, 0.0)
-        return math.sqrt(float(sq.sum()))
-
-    for _ in range(MAX_SWEEPS):
-        if off_norm() <= off_thresh:
-            return a.real.diagonal().copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta <= rot_eps:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / beta
-                tau = (app - aqq) / (2.0 * beta)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # U mixes columns p,q; U^dag the rows. Column p picks up the
-                # phase so the rotated (p,q) entry is exactly real-zeroable.
-                u = np.array(
-                    [[c, -s * phase], [s * np.conj(phase), c]],
-                    dtype=np.complex128,
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if compute_vectors:
-                    v[:, [p, q]] = v[:, [p, q]] @ u
-    final = off_norm()
-    if final <= off_thresh:
-        return a.real.diagonal().copy(), v
-    raise ConvergenceFailure(MAX_SWEEPS, final)
-
-
 def _sorted_spectrum(vals: np.ndarray, vecs: np.ndarray | None):
     order = np.argsort(-vals, kind="stable")
     if vecs is None:
@@ -202,16 +136,20 @@ def eig_hermitian(m: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     Reconstruction U diag(w) U^dag reproduces m to solver accuracy; ties in
     the ordering keep the solver's subspace order.
     """
-    vals, vecs = _jacobi_sweeps(m.entries, compute_vectors=True)
-    w, u = _sorted_spectrum(vals, vecs)
-    return w, u
+    try:
+        vals, vecs = np.linalg.eigh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    return _sorted_spectrum(vals, vecs)
 
 
 def eigvals_hermitian(m: HermitianMatrix) -> np.ndarray:
     """Descending eigenvalues only (skips eigenvector accumulation)."""
-    vals, _ = _jacobi_sweeps(m.entries, compute_vectors=False)
-    w, _ = _sorted_spectrum(vals, None)
-    return w
+    try:
+        vals = np.linalg.eigvalsh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    return _sorted_spectrum(vals, None)[0]
 
 
 def determinant(m: HermitianMatrix) -> float:
@@ -252,11 +190,16 @@ def matrix_to_json_dict(m: HermitianMatrix | DensityMatrix) -> dict:
 def matrix_from_json_dict(payload: dict) -> HermitianMatrix:
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise DimensionMismatch("matrix JSON needs 'dim' and 'entries'")
-    dim = int(payload["dim"])
-    pairs = payload["entries"]
-    if len(pairs) != dim * dim or any(len(p) != 2 for p in pairs):
+    try:
+        dim = operator.index(payload["dim"])
+        pairs = payload["entries"]
+        if len(pairs) != dim * dim or any(len(p) != 2 for p in pairs):
+            raise DimensionMismatch(
+                f"matrix JSON needs {dim * dim} [re, im] pairs, got {len(pairs)}"
+            )
+        entries = [complex(float(re), float(im)) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(
-            f"matrix JSON needs {dim * dim} [re, im] pairs, got {len(pairs)}"
-        )
-    entries = [complex(float(re), float(im)) for re, im in pairs]
+            f"matrix JSON needs an integer 'dim' and numeric [re, im] pairs: {exc}"
+        ) from exc
     return make_hermitian(dim, entries)

@@ -39,30 +39,16 @@ class CharPoly:
 
 
 def char_poly(rho: DensityMatrix) -> CharPoly:
-    """Coefficients from the trace-power (Leverrier) recursion.
+    """Coefficients from the validated eigenvalues, prod_i (lambda_i - x).
 
-    Power sums p_k = Tr(rho^k) feed the Newton identities for the
-    elementary symmetric polynomials e_k; the coefficient of x^j is
-    (-1)^j e_{N-j}. Independent of the eigensolver by construction.
+    np.poly multiplies out the monic factors (x - lambda_i) one at a time;
+    with lambda_i >= 0 every step adds terms of one sign, so no
+    coefficient loses relative accuracy to cancellation and the sign
+    pattern (-1)^j c_j >= 0 holds exactly at any dimension.
     """
-    mat = rho.entries
-    n = rho.dim
-    power_sums = np.empty(n + 1)
-    acc = np.eye(n, dtype=np.complex128)
-    for k in range(1, n + 1):
-        acc = acc @ mat
-        power_sums[k] = acc.trace().real
-    elementary = np.empty(n + 1)
-    elementary[0] = 1.0
-    for k in range(1, n + 1):
-        total = 0.0
-        for i in range(1, k + 1):
-            sign = 1.0 if (i - 1) % 2 == 0 else -1.0
-            total += sign * elementary[k - i] * power_sums[i]
-        elementary[k] = total / k
-    coeffs = np.array([(-1.0) ** j * elementary[n - j] for j in range(n + 1)])
+    coeffs = (-1.0) ** rho.dim * np.poly(rho.eigenvalues)[::-1]
     coeffs.setflags(write=False)
-    return CharPoly(n, coeffs)
+    return CharPoly(rho.dim, coeffs)
 
 
 def eigen_probability(rho: DensityMatrix) -> EigenProbability:

@@ -1,9 +1,22 @@
 """Independent oracles and samplers for the test suite.
 
-Everything here deliberately avoids the library's own code paths: partial
-traces are raw index loops, spectra come from numpy's LAPACK bindings,
-divergences from scipy. That keeps every dual-route check honest.
+Everything here deliberately avoids the library's own code paths, which
+take spectra from LAPACK and characteristic polynomials from those
+spectra. The oracles are:
+
+  * partial traces: raw index loops (oracle_rho1 ... oracle_rho2_tilde);
+  * spectra: cyclic complex Jacobi rotations (jacobi_eigvals);
+  * characteristic polynomials: the Leverrier / Newton-identity recursion
+    on trace powers (leverrier_charpoly), accurate for small N only;
+  * divergences: scipy (kl_oracle) and a direct power mean
+    (tsallis_oracle);
+  * frame probabilities: literal traces against every projector
+    (encode_by_trace).
+
+That keeps every dual-route check honest.
 """
+
+import math
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -79,17 +92,63 @@ def oracle_rho2_tilde(mat, n, m):
 # spectral and entropic oracles
 
 
-def lapack_spectrum(mat):
-    return np.sort(np.linalg.eigvalsh(mat))[::-1]
+def jacobi_eigvals(mat):
+    """Descending eigenvalues of a Hermitian array by cyclic Jacobi sweeps.
+
+    Each complex plane rotation zeroes one off-diagonal pair; sweeps stop
+    when the off-diagonal Frobenius norm falls below 1e-14 N max(1, ||A||).
+    Jacobi is the classic high-accuracy reference for symmetric spectra
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and shares
+    no code with LAPACK's tridiagonal reduction.
+    """
+    a = np.array(mat, dtype=complex)
+    n = a.shape[0]
+    threshold = 1e-14 * n * max(1.0, np.linalg.norm(a))
+    for _ in range(100):
+        off = np.abs(a) ** 2
+        np.fill_diagonal(off, 0.0)
+        if np.sqrt(off.sum()) <= threshold:
+            return np.sort(a.diagonal().real)[::-1]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = abs(a[p, q])
+                if beta == 0.0:
+                    continue
+                phase = a[p, q] / beta
+                tau = (a[p, p].real - a[q, q].real) / (2.0 * beta)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                u = np.array([[c, -s * phase], [s * np.conj(phase), c]])
+                a[:, [p, q]] = a[:, [p, q]] @ u
+                a[[p, q], :] = u.conj().T @ a[[p, q], :]
+                a[p, q] = a[q, p] = 0.0
+    raise AssertionError("Jacobi oracle did not converge in 100 sweeps")
 
 
-def charpoly_from_eigs(mat):
-    """det(A - x I) coefficients via numpy's root-to-poly expansion."""
-    eigs = np.linalg.eigvalsh(mat)
-    n = len(eigs)
-    monic = np.poly(eigs)  # x^n + ..., highest power first
-    coeffs = ((-1.0) ** n) * monic[::-1]  # index = power of x
-    return coeffs
+def leverrier_charpoly(mat):
+    """det(A - x I) coefficients, index = power of x, from trace powers.
+
+    Power sums p_k = Tr(A^k) feed the Newton identities for the elementary
+    symmetric polynomials e_k; the coefficient of x^j is (-1)^j e_{N-j}.
+    No eigensolver is involved, but the alternating sums cancel
+    catastrophically beyond N of about 10.
+    """
+    n = mat.shape[0]
+    power_sums = np.empty(n + 1)
+    acc = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        acc = acc @ mat
+        power_sums[k] = acc.trace().real
+    elementary = np.empty(n + 1)
+    elementary[0] = 1.0
+    for k in range(1, n + 1):
+        total = 0.0
+        for i in range(1, k + 1):
+            sign = 1.0 if (i - 1) % 2 == 0 else -1.0
+            total += sign * elementary[k - i] * power_sums[i]
+        elementary[k] = total / k
+    return np.array([(-1.0) ** j * elementary[n - j] for j in range(n + 1)])
 
 
 def kl_oracle(p, r):

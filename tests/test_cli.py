@@ -128,6 +128,19 @@ def test_decode_uniform_five_level_table(tmp_path):
 def test_decode_schema_error_exits_2(tmp_path):
     inp = write_raw(tmp_path / "table.json", {"dim": 2, "p3": [0.5]})
     assert run_cli("decode", "--input", str(inp)) == 2
+    twice = {
+        "dim": 2,
+        "p3": [0.5],
+        "planes": [
+            {"j": 1, "k": 2, "p1": 0.9, "p2": 0.5},
+            {"j": 1, "k": 2, "p1": 0.5, "p2": 0.5},
+        ],
+    }
+    inp = write_raw(tmp_path / "twice.json", twice)
+    assert run_cli("decode", "--input", str(inp)) == 2
+    fractional = dict(twice, dim=2.5, planes=twice["planes"][:1])
+    inp = write_raw(tmp_path / "fractional.json", fractional)
+    assert run_cli("decode", "--input", str(inp)) == 2
 
 
 def test_audit_isotropic_all_satisfied(tmp_path):
@@ -261,6 +274,32 @@ def test_parse_error_exit_2(tmp_path):
     assert run_cli("encode", "--input", str(bad)) == 2
     schema = write_raw(tmp_path / "schema.json", {"dim": 2, "entries": [[1, 0]]})
     assert run_cli("encode", "--input", str(schema)) == 2
+
+
+MALFORMED_MATRICES = {
+    "non_numeric": {"dim": 2, "entries": [["a", 0], [0, 0], [0, 0], [0.5, 0]]},
+    "bare_numbers": {"dim": 2, "entries": [0.5, 0, 0, 0.5]},
+    "dim_word": {"dim": "two", "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
+    "dim_fraction": {"dim": 2.5, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["encode", "audit", "reduce"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_MATRICES))
+def test_malformed_matrix_exits_2(tmp_path, capsys, command, kind):
+    inp = write_raw(tmp_path / "rho.json", MALFORMED_MATRICES[kind])
+    assert run_cli(command, "--input", str(inp)) == 2
+    assert "matrix schema error" in capsys.readouterr().err
+
+
+def test_encode_bad_rotation_file_exits_4(tmp_path):
+    inp = write_matrix(tmp_path / "rho.json", np.eye(3) / 3)
+    rot = tmp_path / "rot.json"
+    for bad in ([["x", 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        rot.write_text(json.dumps(bad))
+        assert run_cli("encode", "--input", str(inp), "--rotation", str(rot)) == 4
+    rot.write_text("[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    assert run_cli("encode", "--input", str(inp), "--rotation", str(rot)) == 4
 
 
 def test_non_hermitian_input_exit_3(tmp_path):

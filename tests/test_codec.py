@@ -270,6 +270,11 @@ def test_table_invariants_rejected():
         qubit_table(1.5, 0.5, 0.5)
     with pytest.raises(dichoq.TableInvariantError):
         dichoq.DichotomicTable(2, {(1, 2): 0.5}, {}, {1: 0.5})
+    # a repeated plane record is ambiguous even when the last one is valid
+    payload = qubit_table(0.9, 0.5, 0.5).to_json_dict()
+    payload["planes"].append({"j": 1, "k": 2, "p1": 0.5, "p2": 0.5})
+    with pytest.raises(dichoq.TableInvariantError):
+        dichoq.table_from_json_dict(payload)
 
 
 def test_decodable_tables_bound_diagonal_sum():

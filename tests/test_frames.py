@@ -156,6 +156,11 @@ def test_build_frame_rejects_bad_rotations():
         dichoq.build_frame(2, np.eye(3) * 1.1)
     with pytest.raises(dichoq.NotSpecial):
         dichoq.build_frame(2, np.diag([1.0, 1.0, -1.0]))
+    for bad in ([["x", 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(dichoq.DimensionMismatch):
+            dichoq.build_frame(2, bad)
+    with pytest.raises(dichoq.DimensionMismatch):
+        dichoq.build_frame(2, np.diag([np.nan, 1.0, 1.0]))
 
 
 def test_frame_cache_returns_same_object():

@@ -38,8 +38,22 @@ def test_char_poly_matches_symmetric_polynomial_oracle():
         for _ in range(10):
             state = helpers.random_state(dim, rng)
             poly = dichoq.char_poly(state)
-            oracle = helpers.charpoly_from_eigs(np.asarray(state))
+            oracle = helpers.leverrier_charpoly(np.asarray(state))
             assert np.abs(poly.coefficients - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("dim", [16, 24])
+def test_char_poly_large_dimension_signs_and_determinant(dim):
+    # every coefficient of det(rho - x I) for a PSD rho satisfies
+    # (-1)^j c_j = e_{N-j}(lambda) >= 0, and the constant term is the
+    # eigenvalue product; both must hold well past the small dimensions
+    # where a trace-power recursion still works
+    for seed in range(10):
+        state = dichoq.random_mixed(dim, seed)
+        coeffs = dichoq.char_poly(state).coefficients
+        assert np.all((-1.0) ** np.arange(dim + 1) * coeffs >= 0.0)
+        det = np.prod(helpers.jacobi_eigvals(np.asarray(state)))
+        assert coeffs[0] == pytest.approx(det, rel=1e-8, abs=0.0)
 
 
 def test_char_poly_vanishes_at_eigenvalues():
@@ -78,8 +92,8 @@ def test_reduction_spectra_product():
     b = helpers.random_state_array(3, rng)
     state = dichoq.validate_density(dichoq.make_hermitian(6, np.kron(a, b)))
     lam1, lam2 = dichoq.reduction_spectra(state, Factorization(6, 2, 3))
-    assert np.abs(lam1.values - helpers.lapack_spectrum(a)).max() < 1e-11
-    assert np.abs(lam2.values - helpers.lapack_spectrum(b)).max() < 1e-11
+    assert np.abs(lam1.values - helpers.jacobi_eigvals(a)).max() < 1e-11
+    assert np.abs(lam2.values - helpers.jacobi_eigvals(b)).max() < 1e-11
 
 
 def test_reduction_spectra_closed_form():
