@@ -110,30 +110,20 @@ def _table_csv(table: codec.DichotomicTable) -> str:
     for rec in table.to_json_dict()["planes"]:
         lines.append(f"{rec['j']},{rec['k']},{rec['p1']!r},{rec['p2']!r}")
     lines.append("j,p3")
-    for j in range(1, table.dim):
-        lines.append(f"{j},{table.p3[j]!r}")
+    for j, value in enumerate(table.p3.tolist(), start=1):
+        lines.append(f"{j},{value!r}")
     return "\n".join(lines) + "\n"
 
 
 def _encode_unvalidated(mat: np.ndarray) -> tuple[codec.DichotomicTable, list[str]]:
     """Hard-clamped table of a matrix that failed state validation."""
-    raw1, raw2, raw3 = codec.raw_probabilities(mat)
-    clamped_names = []
-
-    def clamp(value: float, name: str) -> float:
-        if value < -codec.PROB_TOL or value > 1.0 + codec.PROB_TOL:
-            clamped_names.append(name)
-        return min(1.0, max(0.0, value))
-
-    p1 = {key: clamp(v, f"p1{key}") for key, v in raw1.items()}
-    p2 = {key: clamp(v, f"p2{key}") for key, v in raw2.items()}
-    p3 = {j: clamp(v, f"p3[{j}]") for j, v in raw3.items()}
-    total = sum(p3.values())
+    n = mat.shape[0]
+    (p1, p2, p3), clamped_names = codec.clamp_probabilities(n, codec.raw_probabilities(mat))
+    total = sum(p3.tolist())
     if total > 1.0 + codec.PROB_TOL:
-        scale = 1.0 / total
         clamped_names.append("p3[sum]")
-        p3 = {j: v * scale for j, v in p3.items()}
-    return codec.DichotomicTable(mat.shape[0], p1, p2, p3), clamped_names
+        p3 = p3 * (1.0 / total)
+    return codec.DichotomicTable(n, p1, p2, p3), clamped_names
 
 
 def cmd_encode(args) -> int:
@@ -178,7 +168,7 @@ def cmd_decode(args) -> int:
     payload = _load_json(args.input)
     try:
         table = codec.table_from_json_dict(payload)
-    except (KeyError, TypeError, ValueError, TableInvariantError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, TableInvariantError) as exc:
         raise CliError(EXIT_PARSE, f"table schema error: {exc}") from exc
     m = codec.decode(table)
     eigenvalues = matcore.eigvals_hermitian(m)

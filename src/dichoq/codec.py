@@ -1,12 +1,17 @@
 """Bidirectional map between density matrices and dichotomic probabilities.
 
-Encoding evaluates each frame projector against the state, giving one
-two-outcome distribution (p, 1-p) per (plane, axis). The diagonal-axis
-projector of plane (j, k) is E_jj for every k, so only N-1 diagonal
-probabilities are independent; the table stores them keyed by row index
-alone, which bakes the degeneracy into the data layout. Decoding inverts
-the map in closed form and always returns a Hermitian trace-one matrix;
-positivity is a separate validation concern.
+Every probability of plane (j, k) is linear in that plane's 2x2 block of
+rho. With t = (Re rho_jk, -Im rho_jk, (rho_jj - rho_kk)/2) and the frame
+rotation R, axis a gives p_a = (rho_jj + rho_kk)/2 + sum_b R[b, a] t_b,
+which equals Tr(rho P) for the frame projector P; encoding evaluates that
+closed form for all planes at once, identity frame or rotated. The
+identity frame's axis-3 probability is rho_jj for every k, so only N-1
+diagonal probabilities are independent, and a rotated frame takes row j's
+from plane (j, j+1). Tables hold p1 and p2 as read-only arrays over the
+planes in lexicographic order (np.triu_indices(N, 1)) and p3 as an array
+of N-1 values. Decoding inverts the identity map in closed form and
+always returns a Hermitian trace-one matrix; positivity is a separate
+validation concern.
 
 Table JSON schema:
 
@@ -16,7 +21,6 @@ Table JSON schema:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,36 +30,54 @@ from .errors import (
     InternalInvariantViolation,
     TableInvariantError,
 )
-from .frames import PlaneIndex, ProjectorFrame, build_frame, planes
-from .matcore import DensityMatrix, HermitianMatrix
+from .frames import IDENTITY, PlaneIndex, ProjectorFrame, build_frame, plane_indices, planes
+from .matcore import DensityMatrix, HermitianMatrix, json_dim, json_number
 from .report import InequalityReport
 
 PROB_TOL = 1e-10
 BALL_BOUND = 0.25
+LABELS = ("p1", "p2", "p3")
 
 
-@dataclass(frozen=True)
+def _names_outside(dim: int, arrays, lo: float, hi: float) -> list[str]:
+    """Names, as p1(j, k), p2(j, k) or p3[j], of the entries outside [lo, hi]."""
+    j, k = plane_indices(dim)
+    names = []
+    for label, values in zip(LABELS, arrays):
+        for i in np.flatnonzero(~((values >= lo) & (values <= hi))):
+            names.append(f"p3[{i + 1}]" if label == "p3" else f"{label}({j[i] + 1}, {k[i] + 1})")
+    return names
+
+
+@dataclass(frozen=True, eq=False)
 class DichotomicTable:
-    """The N^2 - 1 dichotomic probabilities describing one state."""
+    """The N^2 - 1 dichotomic probabilities describing one state.
+
+    p1[i] and p2[i] belong to the i-th plane in lexicographic order and
+    p3[j] to row j + 1; all three are stored as read-only float arrays.
+    """
 
     dim: int
-    p1: dict[tuple[int, int], float]
-    p2: dict[tuple[int, int], float]
-    p3: dict[int, float]
+    p1: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
 
     def __post_init__(self):
         n = self.dim
-        expected = {(p.j, p.k) for p in planes(n)}
-        if set(self.p1) != expected or set(self.p2) != expected:
-            raise TableInvariantError("p1/p2 must cover exactly the planes j < k")
-        if set(self.p3) != set(range(1, n)):
-            raise TableInvariantError("p3 must be keyed by rows 1..N-1")
-        for label, mapping in (("p1", self.p1), ("p2", self.p2), ("p3", self.p3)):
-            for key, value in mapping.items():
-                if not (0.0 <= value <= 1.0):
-                    raise TableInvariantError(
-                        f"{label}[{key}] = {value!r} outside [0, 1]"
-                    )
+        if n < 2:
+            raise TableInvariantError(f"tables need dim >= 2, got {n}")
+        shapes = [(n * (n - 1) // 2,)] * 2 + [(n - 1,)]
+        arrays = [np.array(getattr(self, label), dtype=float) for label in LABELS]
+        if [values.shape for values in arrays] != shapes:
+            raise TableInvariantError(f"dim {n} needs (p1, p2, p3) of shapes {shapes}")
+        flat = np.concatenate(arrays)
+        # min/max are NaN when any entry is, which fails both comparisons
+        if not (flat.min() >= 0.0 and flat.max() <= 1.0):
+            names = ", ".join(_names_outside(n, arrays, 0.0, 1.0))
+            raise TableInvariantError(f"outside [0, 1]: {names}")
+        for label, values in zip(LABELS, arrays):
+            values.setflags(write=False)
+            object.__setattr__(self, label, values)
 
     def require_decodable(self) -> None:
         """Check the diagonal-sum constraint of canonical tables.
@@ -66,52 +88,49 @@ class DichotomicTable:
         the constraint applies where a table is about to be inverted, not
         at construction.
         """
-        if sum(self.p3.values()) > 1.0 + PROB_TOL:
+        if sum(self.p3.tolist()) > 1.0 + PROB_TOL:
             raise TableInvariantError("diagonal probabilities sum beyond 1")
 
     @property
     def parameter_count(self) -> int:
-        return len(self.p1) + len(self.p2) + len(self.p3)
+        return self.p1.size + self.p2.size + self.p3.size
 
     def diagonal(self) -> np.ndarray:
         """Full diagonal of the decoded matrix, last entry from the trace."""
-        head = [self.p3[j] for j in range(1, self.dim)]
+        head = self.p3.tolist()
         return np.array(head + [1.0 - sum(head)])
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "p3": [float(self.p3[j]) for j in range(1, self.dim)],
-            "planes": [
-                {
-                    "j": p.j,
-                    "k": p.k,
-                    "p1": float(self.p1[(p.j, p.k)]),
-                    "p2": float(self.p2[(p.j, p.k)]),
-                }
-                for p in planes(self.dim)
-            ],
-        }
+        j, k = plane_indices(self.dim)
+        rows = zip(j.tolist(), k.tolist(), self.p1.tolist(), self.p2.tolist())
+        records = [{"j": a + 1, "k": b + 1, "p1": x, "p2": y} for a, b, x, y in rows]
+        return {"dim": self.dim, "p3": self.p3.tolist(), "planes": records}
+
+
+def _plane_position(dim: int, j, k) -> int:
+    """Lexicographic position of plane (j, k), 1-based JSON integers."""
+    j, k = json_number(j, integer=True), json_number(k, integer=True)
+    if not (1 <= j < k <= dim):
+        raise TableInvariantError(f"plane ({j}, {k}) needs 1 <= j < k <= {dim}")
+    return (j - 1) * dim - (j - 1) * j // 2 + (k - j - 1)
 
 
 def table_from_json_dict(payload: dict) -> DichotomicTable:
-    dim = operator.index(payload["dim"])
-    p3_list = payload["p3"]
-    if len(p3_list) != dim - 1:
-        raise TableInvariantError(f"p3 must have {dim - 1} entries, got {len(p3_list)}")
-    p3 = {j + 1: float(v) for j, v in enumerate(p3_list)}
+    dim = json_dim(payload["dim"])
+    p3 = [json_number(v) for v in payload["p3"]]
+    if len(p3) != dim - 1:
+        raise TableInvariantError(f"p3 must have {dim - 1} entries, got {len(p3)}")
+    records = payload["planes"]
+    positions = [_plane_position(dim, rec["j"], rec["k"]) for rec in records]
     plane_count = dim * (dim - 1) // 2
-    if len(payload["planes"]) != plane_count:
+    if sorted(positions) != list(range(plane_count)):
         raise TableInvariantError(
             f"planes must list each of the {plane_count} planes once, "
-            f"got {len(payload['planes'])} records"
+            f"got {len(records)} records"
         )
-    p1: dict[tuple[int, int], float] = {}
-    p2: dict[tuple[int, int], float] = {}
-    for rec in payload["planes"]:
-        key = (int(rec["j"]), int(rec["k"]))
-        p1[key] = float(rec["p1"])
-        p2[key] = float(rec["p2"])
+    p1, p2 = np.empty((2, plane_count))
+    p1[positions] = [json_number(rec["p1"]) for rec in records]
+    p2[positions] = [json_number(rec["p2"]) for rec in records]
     table = DichotomicTable(dim, p1, p2, p3)
     table.require_decodable()
     return table
@@ -138,65 +157,67 @@ class AuxiliaryQubit:
         return float(self.matrix.trace().real / 2.0 - radius)
 
 
-def raw_probabilities(mat: np.ndarray):
-    """Unclamped dichotomic probabilities of a Hermitian array.
+def raw_probabilities(mat: np.ndarray, rotation: np.ndarray = IDENTITY):
+    """Unclamped (p1, p2, p3) of a Hermitian array in the frame rotated by R.
 
-    Returns (p1, p2, p3) with p1/p2 keyed by plane and p3 by row index.
-    Used by the audit suites, which must see out-of-range values instead
-    of having them clamped away.
+    p1 and p2 follow the closed form of the module docstring. Axis 3 is
+    evaluated on the planes (j, j+1) only, written as rho_jj (1 + R33)/2 +
+    rho_kk (1 - R33)/2 + R13 t1 + R23 t2 so that the identity frame gives
+    p3 = rho_jj exactly. The audit suites use these values unclamped, so
+    they see out-of-range probabilities of near-states.
     """
-    n = mat.shape[0]
-    p1 = {}
-    p2 = {}
-    for plane in planes(n):
-        j, k = plane.j - 1, plane.k - 1
-        half_sum = 0.5 * (mat[j, j].real + mat[k, k].real)
-        p1[(plane.j, plane.k)] = half_sum + mat[j, k].real
-        p2[(plane.j, plane.k)] = half_sum - mat[j, k].imag
-    p3 = {j: float(mat[j - 1, j - 1].real) for j in range(1, n)}
+    j, k = plane_indices(mat.shape[0])
+    d = mat.diagonal().real
+    dj, dk = d[j], d[k]
+    off = mat[j, k]
+    t = np.array((off.real, -off.imag, (dj - dk) / 2.0))
+    p1, p2 = (dj + dk) / 2.0 + rotation[:, :2].T @ t
+    r13, r23, r33 = rotation[:, 2].tolist()
+    sup = mat.diagonal(1)
+    p3 = d[:-1] * ((1.0 + r33) / 2.0) + d[1:] * ((1.0 - r33) / 2.0)
+    p3 = p3 + r13 * sup.real - r23 * sup.imag
     return p1, p2, p3
 
 
-def _checked_clamp(value: float, context: str) -> float:
-    if value < -PROB_TOL or value > 1.0 + PROB_TOL:
-        raise InternalInvariantViolation(
-            f"probability {value!r} out of range for {context}"
-        )
-    return min(1.0, max(0.0, value))
+def clamp_probabilities(dim: int, raw):
+    """Clip raw (p1, p2, p3) into [0, 1] and name the entries beyond PROB_TOL."""
+    names = []
+    flat = np.concatenate(raw)
+    if flat.min() < -PROB_TOL or flat.max() > 1.0 + PROB_TOL:
+        names = _names_outside(dim, raw, -PROB_TOL, 1.0 + PROB_TOL)
+    # adding 0.0 turns a -0.0 that clip lets through into 0.0
+    flat = flat.clip(0.0, 1.0) + 0.0
+    m = len(raw[0])
+    return (flat[:m], flat[m : 2 * m], flat[2 * m :]), names
 
 
 def encode(rho: DensityMatrix, frame: ProjectorFrame | None = None) -> DichotomicTable:
-    """Dichotomic probabilities p = Tr(rho P) over a projector frame.
+    """Dichotomic probabilities p = Tr(rho P) over a frame, in closed form.
 
-    With the default identity-rotation frame the probabilities come from
-    the closed forms p1 = (rho_jj + rho_kk)/2 + Re rho_jk, p2 = ... -
-    Im rho_jk, p3 = rho_jj. A rotated frame is evaluated by explicit
-    traces; its diagonal probabilities lose the k-independence, so p3 is
-    taken from the (j, j+1) plane for each row j.
+    The frame (identity rotation by default) contributes only its rotation;
+    see raw_probabilities. Values beyond PROB_TOL outside [0, 1] cannot
+    come from a valid state and raise; smaller excursions are clipped.
     """
-    mat = rho.entries
     n = rho.dim
     if frame is None:
         frame = build_frame(n)
     if frame.dim != n:
         raise DimensionMismatch(f"state dim {n} vs frame dim {frame.dim}")
-
-    if frame.is_identity_rotation:
-        raw1, raw2, raw3 = raw_probabilities(mat)
-    else:
-        raw1, raw2, raw3 = {}, {}, {}
-        for plane in frame.planes:
-            key = (plane.j, plane.k)
-            raw1[key] = float(np.einsum("ij,ji->", mat, frame.projector(plane, 1)).real)
-            raw2[key] = float(np.einsum("ij,ji->", mat, frame.projector(plane, 2)).real)
-            p3_val = float(np.einsum("ij,ji->", mat, frame.projector(plane, 3)).real)
-            if plane.k == plane.j + 1:
-                raw3[plane.j] = p3_val
-
-    p1 = {key: _checked_clamp(v, f"p1{key}") for key, v in raw1.items()}
-    p2 = {key: _checked_clamp(v, f"p2{key}") for key, v in raw2.items()}
-    p3 = {j: _checked_clamp(v, f"p3[{j}]") for j, v in raw3.items()}
+    (p1, p2, p3), clamped = clamp_probabilities(
+        n, raw_probabilities(rho.entries, frame.rotation)
+    )
+    if clamped:
+        raise InternalInvariantViolation(
+            f"probabilities out of range: {', '.join(clamped)}"
+        )
     return DichotomicTable(n, p1, p2, p3)
+
+
+def _off_diagonals(table: DichotomicTable, diag: np.ndarray) -> np.ndarray:
+    """rho_jk of every plane: (p1 - s/2) - i (p2 - s/2), s = rho_jj + rho_kk."""
+    j, k = plane_indices(table.dim)
+    half = (diag[j] + diag[k]) / 2.0
+    return (table.p1 - half) - 1j * (table.p2 - half)
 
 
 def auxiliary_qubit(table: DichotomicTable, plane: PlaneIndex) -> AuxiliaryQubit:
@@ -207,12 +228,7 @@ def auxiliary_qubit(table: DichotomicTable, plane: PlaneIndex) -> AuxiliaryQubit
     """
     if plane.k > table.dim:
         raise DimensionMismatch(f"plane {plane} exceeds table dim {table.dim}")
-    diag = table.diagonal()
-    s = diag[plane.j - 1] + diag[plane.k - 1]
-    key = (plane.j, plane.k)
-    re = table.p1[key] - s / 2.0
-    im = table.p2[key] - s / 2.0
-    off = re - 1j * im
+    off = _off_diagonals(table, table.diagonal())[planes(table.dim).index(plane)]
     mat = np.array([[0.5, off], [np.conj(off), 0.5]], dtype=np.complex128)
     mat.setflags(write=False)
     return AuxiliaryQubit(plane, mat)
@@ -222,16 +238,18 @@ def decode(table: DichotomicTable) -> HermitianMatrix:
     """Reconstruct the Hermitian trace-one matrix behind a table.
 
     Diagonal entries are the stored p3 rows with the last one fixed by the
-    unit trace; each off-diagonal entry is read from the plane's auxiliary
-    qubit. Total on valid tables - the result need not be positive.
+    unit trace; each off-diagonal entry is the (1, 2) entry of the plane's
+    auxiliary qubit. Total on valid tables - the result need not be
+    positive.
     """
     n = table.dim
+    j, k = plane_indices(n)
+    diag = table.diagonal()
+    off = _off_diagonals(table, diag)
     mat = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(mat, table.diagonal())
-    for plane in planes(n):
-        off = auxiliary_qubit(table, plane).off_diagonal()
-        mat[plane.j - 1, plane.k - 1] = off
-        mat[plane.k - 1, plane.j - 1] = np.conj(off)
+    np.fill_diagonal(mat, diag)
+    mat[j, k] = off
+    mat[k, j] = off.conj()
     mat.setflags(write=False)
     return HermitianMatrix(mat)
 
@@ -245,11 +263,7 @@ def qubit_ball_check(table: DichotomicTable) -> InequalityReport:
     """
     if table.dim != 2:
         raise DimensionMismatch(f"ball check needs dim 2, got {table.dim}")
-    lhs = (
-        (table.p1[(1, 2)] - 0.5) ** 2
-        + (table.p2[(1, 2)] - 0.5) ** 2
-        + (table.p3[1] - 0.5) ** 2
-    )
+    lhs = sum((float(values[0]) - 0.5) ** 2 for values in (table.p1, table.p2, table.p3))
     report = InequalityReport()
     report.add("qubit_ball", lhs, BALL_BOUND, BALL_BOUND - lhs)
     return report

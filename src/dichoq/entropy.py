@@ -13,6 +13,7 @@ value to +infinity; such entries are reported as satisfied-at-infinity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,12 +78,12 @@ def tsallis_relative(p: float, r: float, q: float) -> float:
     return (moment - 1.0) / (q - 1.0)
 
 
-def _plane_probability(p1, p2, p3, j: int, k: int, axis: int) -> float:
-    if axis == 1:
-        return p1[(j, k)]
-    if axis == 2:
-        return p2[(j, k)]
-    return p3[j]
+def _plane_probabilities(mat: np.ndarray):
+    """(j, k, (p1, p2, p3)) per plane, 1-based; axis 3 of plane (j, k) is row j's."""
+    p1, p2, p3 = (values.tolist() for values in raw_probabilities(mat))
+    pairs = itertools.combinations(range(1, mat.shape[0] + 1), 2)
+    for i, (j, k) in enumerate(pairs):
+        yield j, k, (p1[i], p2[i], p3[j - 1])
 
 
 def _range_violation(report: InequalityReport, name: str, value: float) -> bool:
@@ -116,36 +117,17 @@ def qubit_matrix_forms(off_diagonal: complex) -> tuple[float, float]:
     return form(float(off_diagonal.real)), form(float(off_diagonal.imag))
 
 
-def qubit_cross_term_diagnostic(off_diagonal: complex) -> float:
-    """Imaginary-part radical paired with the real-part log ratio.
-
-    Diagnostic variant only: it breaks the pairing that makes each form a
-    negated binary entropy, so it is computed but never asserted.
-    """
-    y = float(off_diagonal.imag)
-    x = float(off_diagonal.real)
-    lo_y, hi_y = 0.5 - y, 0.5 + y
-    lo_x, hi_x = 0.5 - x, 0.5 + x
-    if lo_y <= 0.0 or hi_y <= 0.0 or lo_x <= 0.0 or hi_x <= 0.0:
-        return 0.0
-    return math.log(math.sqrt(lo_y * hi_y)) + y * math.log(hi_x / lo_x)
-
-
 def vn_suite_from_matrix(mat: np.ndarray) -> InequalityReport:
     """Binary-entropy positivity for every (plane, axis) probability."""
-    n = mat.shape[0]
-    p1, p2, p3 = raw_probabilities(mat)
     report = InequalityReport()
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            for axis in (1, 2, 3):
-                value = _plane_probability(p1, p2, p3, j, k, axis)
-                name = f"vn(j={j},k={k},a={axis})"
-                if _range_violation(report, name, value):
-                    continue
-                entropy = dichotomic_entropy(_clamp(value))
-                report.add(name, entropy, 0.0, entropy)
-    if n == 2:
+    for j, k, values in _plane_probabilities(mat):
+        for axis, value in zip((1, 2, 3), values):
+            name = f"vn(j={j},k={k},a={axis})"
+            if _range_violation(report, name, value):
+                continue
+            entropy = dichotomic_entropy(_clamp(value))
+            report.add(name, entropy, 0.0, entropy)
+    if mat.shape[0] == 2:
         re_form, im_form = qubit_matrix_forms(complex(mat[0, 1]))
         report.add("qubit_matrix_re", re_form, 0.0, -re_form)
         report.add("qubit_matrix_im", im_form, 0.0, -im_form)
@@ -163,21 +145,17 @@ def tsallis_suite_from_matrix(
     """Per-plane Tsallis relative entropy between two axis distributions."""
     if a == b or a not in (1, 2, 3) or b not in (1, 2, 3):
         raise OutOfRange(f"axes must be distinct members of (1, 2, 3), got ({a}, {b})")
-    n = mat.shape[0]
-    p1, p2, p3 = raw_probabilities(mat)
     report = InequalityReport()
     q = params.q
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            pa = _plane_probability(p1, p2, p3, j, k, a)
-            pb = _plane_probability(p1, p2, p3, j, k, b)
-            name = f"tsallis(j={j},k={k},a={a},b={b},q={q:g})"
-            if _range_violation(report, name, pa) or _range_violation(
-                report, f"{name}[ref]", pb
-            ):
-                continue
-            value = tsallis_relative(_clamp(pa), _clamp(pb), q)
-            report.add(name, value, 0.0, value)
+    for j, k, values in _plane_probabilities(mat):
+        pa, pb = values[a - 1], values[b - 1]
+        name = f"tsallis(j={j},k={k},a={a},b={b},q={q:g})"
+        if _range_violation(report, name, pa) or _range_violation(
+            report, f"{name}[ref]", pb
+        ):
+            continue
+        value = tsallis_relative(_clamp(pa), _clamp(pb), q)
+        report.add(name, value, 0.0, value)
     return report
 
 

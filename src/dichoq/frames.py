@@ -6,13 +6,14 @@ to S_0 gives the rank-one projector onto the +1/2 eigenvector of S_a; the
 family of those projectors over all planes and axes a in {1, 2, 3} is the
 measurement frame the dichotomic codec evaluates against. Frames may be
 rotated by a common SO(3) rotation applied to the axis triple in every
-plane.
+plane. A frame is only its dimension and rotation; the codec evaluates it
+in closed form, and the dense projectors are built on request.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import DimensionMismatch, NotOrthogonal, NotSpecial
 
 ORTHO_TOL = 1e-12
 AXES = (1, 2, 3)
+IDENTITY = np.eye(3)
+IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True, order=True)
@@ -38,6 +41,15 @@ class PlaneIndex:
 def planes(dim: int) -> list[PlaneIndex]:
     """All planes of an N-level system in lexicographic order."""
     return [PlaneIndex(j, k) for j in range(1, dim) for k in range(j + 1, dim + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def plane_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based row and column arrays of the planes, in the order of planes()."""
+    j, k = np.triu_indices(dim, 1)
+    j.setflags(write=False)
+    k.setflags(write=False)
+    return j, k
 
 
 def weyl_unit(dim: int, j: int, k: int) -> np.ndarray:
@@ -153,61 +165,48 @@ def embed_plane_unitary(dim: int, plane: PlaneIndex, u2: np.ndarray) -> np.ndarr
 
 
 class ProjectorFrame:
-    """Immutable family of rank-one projectors, one per (plane, axis).
+    """The frame of one dimension and one rotation, stored as just those two.
 
-    With the identity rotation the axis-3 projector of every (j, k) plane
-    collapses to the diagonal unit E_jj, independent of k; rotated frames
-    conjugate each plane's projectors by the embedded su(2) lift of R.
+    The codec evaluates frames in closed form; `projector` and `items`
+    build the dense rank-one projectors on request, as the definition and
+    as a test oracle. Identity-frame axis-3 projectors are E_jj for every
+    k; rotated frames conjugate each plane's by the su(2) lift of R.
     """
 
     def __init__(self, dim: int, rotation=None):
         if dim < 2:
             raise DimensionMismatch(f"frames need dim >= 2, got {dim}")
         if rotation is None:
-            rot = np.eye(3)
+            rot = IDENTITY
         else:
             # private copy: check_rotation may hand back the caller's array
             rot = check_rotation(rotation).copy()
+            rot.setflags(write=False)
         self.dim = dim
         self.rotation = rot
-        self.rotation.setflags(write=False)
-        self.is_identity_rotation = bool(np.abs(rot - np.eye(3)).max() <= ORTHO_TOL)
-        self.planes = planes(dim)
-        self._projectors: dict[tuple[int, int, int], np.ndarray] = {}
-        for plane in self.planes:
-            s0, s1, s2, s3 = su2_generators(dim, plane)
-            gens = (s1, s2, s3)
-            for a in AXES:
-                direction = sum(rot[b, a - 1] * gens[b] for b in range(3))
-                proj = s0 + direction
-                proj.setflags(write=False)
-                self._projectors[(plane.j, plane.k, a)] = proj
+
+    @property
+    def planes(self) -> list[PlaneIndex]:
+        return planes(self.dim)
 
     def projector(self, plane: PlaneIndex, axis: int) -> np.ndarray:
+        """S_0 + sum_b R[b, axis] S_b: the rotated axis' +1/2 projector."""
         if axis not in AXES:
             raise DimensionMismatch(f"axis must be in {AXES}, got {axis}")
-        return self._projectors[(plane.j, plane.k, axis)]
+        s0, *gens = su2_generators(self.dim, plane)
+        proj = s0 + sum(self.rotation[b, axis - 1] * gens[b] for b in range(3))
+        proj.setflags(write=False)
+        return proj
 
     def items(self):
         for plane in self.planes:
             for a in AXES:
-                yield plane, a, self._projectors[(plane.j, plane.k, a)]
-
-
-_frame_cache: dict[tuple[int, bytes], ProjectorFrame] = {}
-_frame_lock = threading.Lock()
+                yield plane, a, self.projector(plane, a)
 
 
 def build_frame(dim: int, rotation=None) -> ProjectorFrame:
-    """Return the (cached) projector frame for this dimension and rotation."""
-    rot = np.eye(3) if rotation is None else check_rotation(rotation)
-    key = (dim, rot.tobytes())
-    frame = _frame_cache.get(key)
-    if frame is None:
-        frame = ProjectorFrame(dim, rot)
-        with _frame_lock:
-            frame = _frame_cache.setdefault(key, frame)
-    return frame
+    """The frame of this dimension and rotation (identity when None)."""
+    return ProjectorFrame(dim, rotation)
 
 
 def frame_count_check(dim: int) -> tuple[int, int]:

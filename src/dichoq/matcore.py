@@ -9,7 +9,6 @@ schema for matrices:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,19 +186,36 @@ def matrix_to_json_dict(m: HermitianMatrix | DensityMatrix) -> dict:
     return {"dim": int(arr.shape[0]), "entries": pairs}
 
 
+def json_number(value, integer: bool = False):
+    """A JSON number as a float (an int if `integer`); str and bool raise TypeError."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "integer" if integer else "number"
+        raise TypeError(f"expected a JSON {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
+def json_dim(value) -> int:
+    """A JSON dimension: an integer of at least 2, the API's lower bound."""
+    dim = json_number(value, integer=True)
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    return dim
+
+
 def matrix_from_json_dict(payload: dict) -> HermitianMatrix:
     if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise DimensionMismatch("matrix JSON needs 'dim' and 'entries'")
     try:
-        dim = operator.index(payload["dim"])
+        dim = json_dim(payload["dim"])
         pairs = payload["entries"]
         if len(pairs) != dim * dim or any(len(p) != 2 for p in pairs):
             raise DimensionMismatch(
                 f"matrix JSON needs {dim * dim} [re, im] pairs, got {len(pairs)}"
             )
-        entries = [complex(float(re), float(im)) for re, im in pairs]
+        entries = [complex(json_number(re), json_number(im)) for re, im in pairs]
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(
-            f"matrix JSON needs an integer 'dim' and numeric [re, im] pairs: {exc}"
+            f"matrix JSON needs an integer 'dim' >= 2 and numeric [re, im] pairs: {exc}"
         ) from exc
     return make_hermitian(dim, entries)

@@ -30,12 +30,13 @@ def criterion(number, description):
     print(f"[PASS] criterion {number}: {description}")
 
 
-def _axis_probability(p1, p2, p3, j, k, a):
+def _axis_probability(p1, p2, p3, i, j, a):
+    # i: the plane's lexicographic position; j: its first row, 1-based
     if a == 1:
-        return p1[(j, k)]
+        return p1[i]
     if a == 2:
-        return p2[(j, k)]
-    return p3[j]
+        return p2[i]
+    return p3[j - 1]
 
 
 def test_criterion_1_roundtrip():
@@ -121,24 +122,23 @@ def test_criterion_5_entropic_suites():
                 for check in dichoq.vn_inequality_suite(state).checks:
                     assert check.slack >= -1e-10
                 p1, p2, p3 = raw_probabilities(np.asarray(state))
-                for j in range(1, dim):
-                    for k in range(j + 1, dim + 1):
-                        for a in (1, 2, 3):
-                            for b in (1, 2, 3):
-                                if a == b:
-                                    continue
-                                pa = _axis_probability(p1, p2, p3, j, k, a)
-                                pb = _axis_probability(p1, p2, p3, j, k, b)
-                                for q in q_grid:
-                                    value = tsallis_relative(
-                                        min(1.0, max(0.0, pa)),
-                                        min(1.0, max(0.0, pb)),
-                                        q,
-                                    )
-                                    assert value >= -1e-10
-                                    assert (abs(value) < 1e-12) == (
-                                        abs(pa - pb) < 1e-12
-                                    )
+                for i, plane in enumerate(dichoq.planes(dim)):
+                    for a in (1, 2, 3):
+                        for b in (1, 2, 3):
+                            if a == b:
+                                continue
+                            pa = _axis_probability(p1, p2, p3, i, plane.j, a)
+                            pb = _axis_probability(p1, p2, p3, i, plane.j, b)
+                            for q in q_grid:
+                                value = tsallis_relative(
+                                    min(1.0, max(0.0, pa)),
+                                    min(1.0, max(0.0, pb)),
+                                    q,
+                                )
+                                assert value >= -1e-10
+                                assert (abs(value) < 1e-12) == (
+                                    abs(pa - pb) < 1e-12
+                                )
 
 
 def test_criterion_6_rotation_covariance():
@@ -152,15 +152,15 @@ def test_criterion_6_rotation_covariance():
                 table = dichoq.rotate_table(state, rot)
                 u2 = su2_lift(rot)
                 mat = np.asarray(state)
-                for plane in base.planes:
+                for i, plane in enumerate(base.planes):
                     u = embed_plane_unitary(dim, plane, u2)
                     conj = u.conj().T @ mat @ u
                     j, k = plane.j - 1, plane.k - 1
                     half = 0.5 * (conj[j, j].real + conj[k, k].real)
-                    assert abs(table.p1[(plane.j, plane.k)] - (half + conj[j, k].real)) < 1e-10
-                    assert abs(table.p2[(plane.j, plane.k)] - (half - conj[j, k].imag)) < 1e-10
+                    assert abs(table.p1[i] - (half + conj[j, k].real)) < 1e-10
+                    assert abs(table.p2[i] - (half - conj[j, k].imag)) < 1e-10
                     if plane.k == plane.j + 1:
-                        assert abs(table.p3[plane.j] - conj[j, j].real) < 1e-10
+                        assert abs(table.p3[j] - conj[j, j].real) < 1e-10
 
 
 def test_criterion_7_eigensolver_gate():

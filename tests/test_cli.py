@@ -55,7 +55,7 @@ def test_encode_rotation_flag(tmp_path):
     assert run_cli("encode", "--input", str(inp), "--rotation", str(rot), "--output", str(out)) == 0
     payload = json.loads(out.read_text())
     base = dichoq.encode(state)
-    assert payload["planes"][0]["p1"] == pytest.approx(1 - base.p1[(1, 2)], abs=1e-12)
+    assert payload["planes"][0]["p1"] == pytest.approx(1 - base.p1[0], abs=1e-12)
 
 
 def test_encode_csv(tmp_path):
@@ -141,6 +141,20 @@ def test_decode_schema_error_exits_2(tmp_path):
     fractional = dict(twice, dim=2.5, planes=twice["planes"][:1])
     inp = write_raw(tmp_path / "fractional.json", fractional)
     assert run_cli("decode", "--input", str(inp)) == 2
+    # JSON strings and booleans are not numbers, and dim has a lower bound of 2
+    single = twice["planes"][:1]
+    for bad in (
+        dict(twice, planes=[dict(single[0], p1="0.5")]),
+        dict(twice, p3=["0.5"], planes=single),
+        dict(twice, p3=[True], planes=single),
+        dict(twice, planes=[dict(single[0], j="1")]),
+        dict(twice, planes=[dict(single[0], k=True)]),
+        dict(twice, dim=True, p3=[], planes=[]),
+        {"dim": 1, "p3": [], "planes": []},
+        dict(twice, planes=[dict(single[0], k=3)]),
+    ):
+        inp = write_raw(tmp_path / "bad.json", bad)
+        assert run_cli("decode", "--input", str(inp)) == 2
 
 
 def test_audit_isotropic_all_satisfied(tmp_path):
@@ -281,6 +295,10 @@ MALFORMED_MATRICES = {
     "bare_numbers": {"dim": 2, "entries": [0.5, 0, 0, 0.5]},
     "dim_word": {"dim": "two", "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
     "dim_fraction": {"dim": 2.5, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
+    "string_number": {"dim": 2, "entries": [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]},
+    "bool_number": {"dim": 2, "entries": [[0.5, False], [0, 0], [0, 0], [0.5, 0]]},
+    "dim_bool": {"dim": True, "entries": [[1, 0]]},
+    "dim_one": {"dim": 1, "entries": [[1, 0]]},
 }
 
 

@@ -20,16 +20,24 @@ def qubit_state(p1, p2, p3):
     return dichoq.validate_density(dichoq.make_hermitian(2, mat))
 
 
+def table_entry(table, j, k, axis):
+    """Probability of plane (j, k) (1-based) on an axis; p3 is keyed by row j."""
+    if axis == 3:
+        return table.p3[j - 1]
+    position = [(p.j, p.k) for p in dichoq.planes(table.dim)].index((j, k))
+    return (table.p1 if axis == 1 else table.p2)[position]
+
+
 def qubit_table(p1, p2, p3):
-    return dichoq.DichotomicTable(2, {(1, 2): p1}, {(1, 2): p2}, {1: p3})
+    return dichoq.DichotomicTable(2, [p1], [p2], [p3])
 
 
 def test_encode_isotropic_qubit():
     state = dichoq.validate_density(dichoq.make_hermitian(2, np.eye(2) / 2))
     t = dichoq.encode(state)
-    assert t.p1[(1, 2)] == pytest.approx(0.5)
-    assert t.p2[(1, 2)] == pytest.approx(0.5)
-    assert t.p3[1] == pytest.approx(0.5)
+    assert t.p1[0] == pytest.approx(0.5)
+    assert t.p2[0] == pytest.approx(0.5)
+    assert t.p3[0] == pytest.approx(0.5)
 
 
 def test_encode_worked_qubit():
@@ -37,9 +45,9 @@ def test_encode_worked_qubit():
         dichoq.make_hermitian(2, [[0.75, 0.25], [0.25, 0.25]])
     )
     t = dichoq.encode(state)
-    assert t.p1[(1, 2)] == pytest.approx(0.75)
-    assert t.p2[(1, 2)] == pytest.approx(0.5)
-    assert t.p3[1] == pytest.approx(0.75)
+    assert t.p1[0] == pytest.approx(0.75)
+    assert t.p2[0] == pytest.approx(0.5)
+    assert t.p3[0] == pytest.approx(0.75)
 
 
 def test_encode_diagonal_qutrit():
@@ -47,13 +55,13 @@ def test_encode_diagonal_qutrit():
         dichoq.make_hermitian(3, np.diag([0.5, 1 / 3, 1 / 6]))
     )
     t = dichoq.encode(state)
-    assert t.p3[1] == pytest.approx(0.5)
-    assert t.p3[2] == pytest.approx(1 / 3)
-    for (j, k), value in t.p1.items():
-        half = (t.diagonal()[j - 1] + t.diagonal()[k - 1]) / 2
-        assert value == pytest.approx(half)
-        assert t.p2[(j, k)] == pytest.approx(half)
-    assert t.p1[(1, 2)] == pytest.approx(5 / 12)
+    assert t.p3[0] == pytest.approx(0.5)
+    assert t.p3[1] == pytest.approx(1 / 3)
+    for i, plane in enumerate(dichoq.planes(3)):
+        half = (t.diagonal()[plane.j - 1] + t.diagonal()[plane.k - 1]) / 2
+        assert t.p1[i] == pytest.approx(half)
+        assert t.p2[i] == pytest.approx(half)
+    assert t.p1[0] == pytest.approx(5 / 12)
 
 
 def test_encode_dimension_mismatch():
@@ -71,13 +79,22 @@ def test_encode_matches_trace_oracle():
         t = dichoq.encode(state)
         oracle = helpers.encode_by_trace(state, frame)
         for (j, k, a), expected in oracle.items():
-            if a == 1:
-                got = t.p1[(j, k)]
-            elif a == 2:
-                got = t.p2[(j, k)]
-            else:
-                got = t.p3[j]
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert table_entry(t, j, k, a) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 24])
+def test_rotate_table_matches_trace_oracle(dim):
+    # closed-form rotated frame vs literal Tr(rho P) against dense projectors
+    rng = np.random.default_rng(31 + dim)
+    state = helpers.random_state(dim, rng)
+    for _ in range(10):
+        rot = helpers.random_rotation(rng)
+        t = dichoq.rotate_table(state, rot)
+        oracle = helpers.encode_by_trace(state, dichoq.build_frame(dim, rot))
+        for (j, k, a), expected in oracle.items():
+            if a == 3 and k != j + 1:
+                continue  # a rotated table keeps row j's p3 from plane (j, j+1)
+            assert table_entry(t, j, k, a) == pytest.approx(expected, abs=1e-12)
 
 
 def test_parameter_count():
@@ -140,11 +157,8 @@ def test_reverse_roundtrip():
             table = dichoq.encode(state)
             decoded = dichoq.validate_density(dichoq.decode(table))
             again = dichoq.encode(decoded)
-            for key in table.p1:
-                assert abs(again.p1[key] - table.p1[key]) < 1e-12
-                assert abs(again.p2[key] - table.p2[key]) < 1e-12
-            for j in table.p3:
-                assert abs(again.p3[j] - table.p3[j]) < 1e-12
+            for label in ("p1", "p2", "p3"):
+                assert np.abs(getattr(again, label) - getattr(table, label)).max() < 1e-12
 
 
 def test_auxiliary_qubit_shape_and_entry():
@@ -157,12 +171,7 @@ def test_auxiliary_qubit_shape_and_entry():
 
 def test_auxiliary_qubit_isotropic_block():
     # p1 = p2 = mean diagonal pair -> vanishing off-diagonal
-    t = dichoq.DichotomicTable(
-        3,
-        {(1, 2): 0.4, (1, 3): 0.35, (2, 3): 0.45},
-        {(1, 2): 0.4, (1, 3): 0.35, (2, 3): 0.45},
-        {1: 0.3, 2: 0.5},
-    )
+    t = dichoq.DichotomicTable(3, [0.4, 0.35, 0.45], [0.4, 0.35, 0.45], [0.3, 0.5])
     aux = dichoq.auxiliary_qubit(t, dichoq.PlaneIndex(1, 2))
     assert np.abs(aux.matrix - np.eye(2) / 2).max() < 1e-15
 
@@ -173,11 +182,9 @@ def test_auxiliary_qubit_formula():
         state = helpers.random_state(3, rng)
         t = dichoq.encode(state)
         diag = t.diagonal()
-        for plane in dichoq.planes(3):
+        for i, plane in enumerate(dichoq.planes(3)):
             s = diag[plane.j - 1] + diag[plane.k - 1]
-            expected = (t.p1[(plane.j, plane.k)] - s / 2) - 1j * (
-                t.p2[(plane.j, plane.k)] - s / 2
-            )
+            expected = (t.p1[i] - s / 2) - 1j * (t.p2[i] - s / 2)
             aux = dichoq.auxiliary_qubit(t, plane)
             assert aux.off_diagonal() == pytest.approx(expected, abs=1e-13)
             assert aux.min_eigenvalue() >= -1e-12
@@ -227,9 +234,9 @@ def test_rotate_table_pi_about_z():
     state = helpers.random_state(2, rng)
     base = dichoq.encode(state)
     rotated = dichoq.rotate_table(state, np.diag([-1.0, -1.0, 1.0]))
-    assert rotated.p1[(1, 2)] == pytest.approx(1.0 - base.p1[(1, 2)], abs=1e-12)
-    assert rotated.p2[(1, 2)] == pytest.approx(1.0 - base.p2[(1, 2)], abs=1e-12)
-    assert rotated.p3[1] == pytest.approx(base.p3[1], abs=1e-12)
+    assert rotated.p1[0] == pytest.approx(1.0 - base.p1[0], abs=1e-12)
+    assert rotated.p2[0] == pytest.approx(1.0 - base.p2[0], abs=1e-12)
+    assert rotated.p3[0] == pytest.approx(base.p3[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -246,13 +253,12 @@ def test_rotation_law_both_sides(dim):
         for plane in base.planes:
             u = embed_plane_unitary(dim, plane, u2)
             conjugated = u.conj().T @ mat @ u
-            for a in (1, 2):
+            for a in (1, 2, 3):
+                if a == 3 and plane.k != plane.j + 1:
+                    continue
                 expected = float(np.trace(conjugated @ base.projector(plane, a)).real)
-                got = table.p1[(plane.j, plane.k)] if a == 1 else table.p2[(plane.j, plane.k)]
+                got = table_entry(table, plane.j, plane.k, a)
                 assert got == pytest.approx(expected, abs=1e-10)
-            if plane.k == plane.j + 1:
-                expected = float(np.trace(conjugated @ base.projector(plane, 3)).real)
-                assert table.p3[plane.j] == pytest.approx(expected, abs=1e-10)
 
 
 def test_table_json_roundtrip_and_order():
@@ -269,7 +275,7 @@ def test_table_invariants_rejected():
     with pytest.raises(dichoq.TableInvariantError):
         qubit_table(1.5, 0.5, 0.5)
     with pytest.raises(dichoq.TableInvariantError):
-        dichoq.DichotomicTable(2, {(1, 2): 0.5}, {}, {1: 0.5})
+        dichoq.DichotomicTable(2, [0.5], [], [0.5])
     # a repeated plane record is ambiguous even when the last one is valid
     payload = qubit_table(0.9, 0.5, 0.5).to_json_dict()
     payload["planes"].append({"j": 1, "k": 2, "p1": 0.5, "p2": 0.5})
@@ -280,12 +286,7 @@ def test_table_invariants_rejected():
 def test_decodable_tables_bound_diagonal_sum():
     # the diagonal-sum constraint guards the canonical inverse: a table
     # whose p3 rows sum beyond 1 cannot come from an identity-frame encode
-    overfull = dichoq.DichotomicTable(
-        3,
-        {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5},
-        {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5},
-        {1: 0.6, 2: 0.6},
-    )
+    overfull = dichoq.DichotomicTable(3, [0.5] * 3, [0.5] * 3, [0.6, 0.6])
     with pytest.raises(dichoq.TableInvariantError):
         overfull.require_decodable()
     with pytest.raises(dichoq.TableInvariantError):
@@ -302,7 +303,7 @@ def test_rotated_table_diagonal_sum_unbounded():
     for _ in range(20):
         state = helpers.random_state(4, rng)
         table = dichoq.rotate_table(state, helpers.random_rotation(rng))
-        if sum(table.p3.values()) > 1.0 + 1e-10:
+        if table.p3.sum() > 1.0 + 1e-10:
             found = True
             break
     assert found
@@ -311,4 +312,4 @@ def test_rotated_table_diagonal_sum_unbounded():
 def test_raw_probabilities_unclamped():
     mat = helpers.near_state_negative_eig()
     p1, _, _ = raw_probabilities(mat)
-    assert p1[(1, 2)] == pytest.approx(-1e-3)
+    assert p1[0] == pytest.approx(-1e-3)

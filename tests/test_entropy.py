@@ -6,7 +6,6 @@ import pytest
 import dichoq
 from dichoq import EntropyParams, Factorization
 from dichoq.entropy import (
-    qubit_cross_term_diagnostic,
     qubit_matrix_forms,
     tsallis_relative,
     vn_suite_from_matrix,
@@ -121,22 +120,6 @@ def test_vn_suite_includes_matrix_forms_for_qubits():
     )
 
 
-def test_cross_term_diagnostic_computed_not_asserted():
-    rng = np.random.default_rng(5)
-    vals = []
-    for _ in range(20):
-        state = helpers.random_state(2, rng)
-        vals.append(qubit_cross_term_diagnostic(complex(np.asarray(state)[0, 1])))
-    assert all(math.isfinite(v) for v in vals)
-    # for a state with vanishing imaginary part it reduces to ln(1/2)
-    real_state = dichoq.validate_density(
-        dichoq.make_hermitian(2, [[0.75, 0.25], [0.25, 0.25]])
-    )
-    assert qubit_cross_term_diagnostic(
-        complex(np.asarray(real_state)[0, 1])
-    ) == pytest.approx(math.log(0.5), abs=1e-15)
-
-
 def test_vn_suite_flags_out_of_range_probability():
     report = vn_suite_from_matrix(helpers.near_state_negative_eig())
     bad = report["vn(j=1,k=2,a=1)"]
@@ -184,6 +167,17 @@ def test_tsallis_against_oracle():
             assert tsallis_relative(p, r, q) == pytest.approx(
                 helpers.tsallis_oracle(p, r, q), abs=1e-12
             )
+
+
+def test_dichotomic_kl_against_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        p = float(rng.uniform(0.0, 1.0))
+        r = float(rng.uniform(0.01, 0.99))
+        assert dichoq.dichotomic_kl(p, r) == pytest.approx(helpers.kl_oracle(p, r), abs=1e-12)
+    # endpoints: 0 ln 0 = 0, and support loss diverges like scipy's rel_entr
+    for p, r in ((0.0, 0.3), (1.0, 0.3), (0.4, 0.4), (0.5, 0.0), (0.5, 1.0)):
+        assert dichoq.dichotomic_kl(p, r) == pytest.approx(helpers.kl_oracle(p, r), abs=1e-12)
 
 
 def test_tsallis_zero_support_is_satisfied_at_infinity():

@@ -163,18 +163,6 @@ def test_build_frame_rejects_bad_rotations():
         dichoq.build_frame(2, np.diag([np.nan, 1.0, 1.0]))
 
 
-def test_frame_cache_returns_same_object():
-    a = dichoq.build_frame(4)
-    b = dichoq.build_frame(4)
-    assert a is b
-    rng = np.random.default_rng(9)
-    rot = helpers.random_rotation(rng)
-    c = dichoq.build_frame(4, rot)
-    d = dichoq.build_frame(4, rot.copy())
-    assert c is d
-    assert c is not a
-
-
 def test_axis_angle_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(25):
