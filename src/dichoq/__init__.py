@@ -1,9 +1,7 @@
 """Dichotomic probability representation of N-level density matrices."""
 
 from .codec import (
-    AuxiliaryQubit,
     DichotomicTable,
-    auxiliary_qubit,
     decode,
     encode,
     qubit_ball_check,
@@ -37,10 +35,8 @@ from .frames import (
     PlaneIndex,
     ProjectorFrame,
     build_frame,
-    frame_count_check,
     planes,
     su2_generators,
-    weyl_unit,
 )
 from .genstates import PortableRng, random_mixed, random_product, random_pure
 from .matcore import (
@@ -59,10 +55,8 @@ from .matcore import (
 from .reduction import (
     BlockView,
     Factorization,
-    Keep,
     block_decompose,
     factorizations,
-    iterate_reduction,
     reduce_rho1,
     reduce_rho2,
     reduce_swapped,
@@ -74,7 +68,6 @@ from .spectra import (
     det_bounds_check,
     eigen_probability,
     reduction_spectra,
-    two_level_spectrum_from_det,
 )
 
 __version__ = "0.1.0"

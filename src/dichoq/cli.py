@@ -130,9 +130,11 @@ def cmd_encode(args) -> int:
     m = _load_matrix(args.input)
     rotation = None
     if args.rotation is not None:
+        payload = _load_json(args.rotation)
         try:
-            rotation = check_rotation(_load_json(args.rotation))
-        except DichoqError as exc:
+            rows = [[matcore.json_number(v) for v in row] for row in payload]
+            rotation = check_rotation(rows)
+        except (TypeError, OverflowError, DichoqError) as exc:
             raise CliError(EXIT_USAGE, f"bad rotation: {exc}") from exc
 
     warning = None
@@ -213,8 +215,7 @@ def cmd_reduce(args) -> int:
     if not args.factor:
         raise CliError(EXIT_USAGE, "reduce requires --factor n,m")
     factor = _parse_factor(args.factor, state.dim)
-    keep = reduction.Keep(args.keep)
-    if keep is reduction.Keep.FIRST:
+    if args.keep == "first":
         reduced = reduction.reduce_rho1(state, factor)
     else:
         reduced = reduction.reduce_rho2(state, factor)

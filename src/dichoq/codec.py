@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     TableInvariantError,
 )
-from .frames import IDENTITY, PlaneIndex, ProjectorFrame, build_frame, plane_indices, planes
+from .frames import IDENTITY, ProjectorFrame, build_frame, plane_indices
 from .matcore import DensityMatrix, HermitianMatrix, json_dim, json_number
 from .report import InequalityReport
 
@@ -136,27 +136,6 @@ def table_from_json_dict(payload: dict) -> DichotomicTable:
     return table
 
 
-@dataclass(frozen=True)
-class AuxiliaryQubit:
-    """Two-level carrier of one off-diagonal matrix element.
-
-    Hermitian with unit trace by construction; positivity is not part of
-    the contract, so the minimum eigenvalue is exposed for diagnostics
-    only.
-    """
-
-    plane: PlaneIndex
-    matrix: np.ndarray
-
-    def off_diagonal(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    def min_eigenvalue(self) -> float:
-        half_gap = abs(self.matrix[0, 0] - self.matrix[1, 1]) / 2.0
-        radius = np.hypot(float(half_gap), abs(self.matrix[0, 1]))
-        return float(self.matrix.trace().real / 2.0 - radius)
-
-
 def raw_probabilities(mat: np.ndarray, rotation: np.ndarray = IDENTITY):
     """Unclamped (p1, p2, p3) of a Hermitian array in the frame rotated by R.
 
@@ -213,39 +192,19 @@ def encode(rho: DensityMatrix, frame: ProjectorFrame | None = None) -> Dichotomi
     return DichotomicTable(n, p1, p2, p3)
 
 
-def _off_diagonals(table: DichotomicTable, diag: np.ndarray) -> np.ndarray:
-    """rho_jk of every plane: (p1 - s/2) - i (p2 - s/2), s = rho_jj + rho_kk."""
-    j, k = plane_indices(table.dim)
-    half = (diag[j] + diag[k]) / 2.0
-    return (table.p1 - half) - 1j * (table.p2 - half)
-
-
-def auxiliary_qubit(table: DichotomicTable, plane: PlaneIndex) -> AuxiliaryQubit:
-    """Two-level state whose (1, 2) entry is the decoded rho_jk.
-
-    Built as S0 + (2 p1 - s) S1 + (2 p2 - s) S2 on the plane's generators,
-    s being the pair of diagonal probabilities; diagonal entries are 1/2.
-    """
-    if plane.k > table.dim:
-        raise DimensionMismatch(f"plane {plane} exceeds table dim {table.dim}")
-    off = _off_diagonals(table, table.diagonal())[planes(table.dim).index(plane)]
-    mat = np.array([[0.5, off], [np.conj(off), 0.5]], dtype=np.complex128)
-    mat.setflags(write=False)
-    return AuxiliaryQubit(plane, mat)
-
-
 def decode(table: DichotomicTable) -> HermitianMatrix:
     """Reconstruct the Hermitian trace-one matrix behind a table.
 
     Diagonal entries are the stored p3 rows with the last one fixed by the
-    unit trace; each off-diagonal entry is the (1, 2) entry of the plane's
-    auxiliary qubit. Total on valid tables - the result need not be
-    positive.
+    unit trace; each off-diagonal entry is rho_jk = (p1 - s/2) - i (p2 - s/2)
+    with s = rho_jj + rho_kk. Total on valid tables - the result need not
+    be positive.
     """
     n = table.dim
     j, k = plane_indices(n)
     diag = table.diagonal()
-    off = _off_diagonals(table, diag)
+    half = (diag[j] + diag[k]) / 2.0
+    off = (table.p1 - half) - 1j * (table.p2 - half)
     mat = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(mat, diag)
     mat[j, k] = off

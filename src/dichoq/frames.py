@@ -4,16 +4,16 @@ For an N-level system, every index pair (j, k) with j < k spans a
 two-dimensional plane carrying Pauli-like generators S_0..S_3. Adding S_a
 to S_0 gives the rank-one projector onto the +1/2 eigenvector of S_a; the
 family of those projectors over all planes and axes a in {1, 2, 3} is the
-measurement frame the dichotomic codec evaluates against. Frames may be
-rotated by a common SO(3) rotation applied to the axis triple in every
-plane. A frame is only its dimension and rotation; the codec evaluates it
-in closed form, and the dense projectors are built on request.
+measurement frame the dichotomic codec evaluates against. A rotated frame
+mixes the axis triple of every plane by one SO(3) matrix R, so its axis-a
+projector is S_0 + sum_b R[b, a] S_b. A frame is only its dimension and
+rotation; the codec evaluates it in closed form, and the dense projectors
+are built on request.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +50,6 @@ def plane_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     j.setflags(write=False)
     k.setflags(write=False)
     return j, k
-
-
-def weyl_unit(dim: int, j: int, k: int) -> np.ndarray:
-    """Matrix unit E_jk (1-based indices): 1 at row j, column k."""
-    if not (1 <= j <= dim and 1 <= k <= dim):
-        raise DimensionMismatch(f"indices ({j}, {k}) out of range for dim {dim}")
-    e = np.zeros((dim, dim), dtype=np.complex128)
-    e[j - 1, k - 1] = 1.0
-    return e
 
 
 def su2_generators(dim: int, plane: PlaneIndex):
@@ -100,77 +91,12 @@ def check_rotation(rotation) -> np.ndarray:
     return r
 
 
-def rotation_axis_angle(rotation) -> tuple[np.ndarray, float]:
-    """Axis (unit vector) and angle in [0, pi] of a special orthogonal R.
-
-    At angle pi the axis sign is degenerate; the axis is then taken from
-    the dominant column of (R + I)/2, which is deterministic and stable.
-    """
-    r = check_rotation(rotation)
-    cos_theta = (np.trace(r) - 1.0) / 2.0
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    theta = math.acos(cos_theta)
-    if theta < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    if math.pi - theta < 1e-6:
-        b = (r + np.eye(3)) / 2.0
-        col = int(np.argmax(np.diagonal(b)))
-        axis = b[:, col]
-        axis = axis / np.linalg.norm(axis)
-        return axis, math.pi
-    axis = np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-    ) / (2.0 * math.sin(theta))
-    return axis / np.linalg.norm(axis), theta
-
-
-def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Rodrigues form of the rotation by `angle` about unit vector `axis`."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    kmat = np.array(
-        [[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]]
-    )
-    return np.eye(3) + math.sin(angle) * kmat + (1.0 - math.cos(angle)) * (kmat @ kmat)
-
-
-def su2_lift(rotation) -> np.ndarray:
-    """The 2x2 special unitary covering R: U (x.sigma) U^dag = (Rx).sigma.
-
-    Computed in closed form from the axis-angle decomposition,
-    U = cos(theta/2) I - i sin(theta/2) (n.sigma).
-    """
-    axis, theta = rotation_axis_angle(rotation)
-    nx, ny, nz = axis
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c - 1j * s * nz, -1j * s * nx - s * ny],
-            [-1j * s * nx + s * ny, c + 1j * s * nz],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def embed_plane_unitary(dim: int, plane: PlaneIndex, u2: np.ndarray) -> np.ndarray:
-    """Embed a 2x2 unitary into the (j, k) plane of an N x N identity."""
-    u = np.eye(dim, dtype=np.complex128)
-    j, k = plane.j - 1, plane.k - 1
-    u[j, j] = u2[0, 0]
-    u[j, k] = u2[0, 1]
-    u[k, j] = u2[1, 0]
-    u[k, k] = u2[1, 1]
-    return u
-
-
 class ProjectorFrame:
     """The frame of one dimension and one rotation, stored as just those two.
 
     The codec evaluates frames in closed form; `projector` and `items`
     build the dense rank-one projectors on request, as the definition and
-    as a test oracle. Identity-frame axis-3 projectors are E_jj for every
-    k; rotated frames conjugate each plane's by the su(2) lift of R.
+    as a test oracle. Identity-frame axis-3 projectors are E_jj for every k.
     """
 
     def __init__(self, dim: int, rotation=None):
@@ -207,15 +133,3 @@ class ProjectorFrame:
 def build_frame(dim: int, rotation=None) -> ProjectorFrame:
     """The frame of this dimension and rotation (identity when None)."""
     return ProjectorFrame(dim, rotation)
-
-
-def frame_count_check(dim: int) -> tuple[int, int]:
-    """Number of planes and of independent dichotomic parameters.
-
-    N(N-1)/2 planes carry two off-diagonal probabilities each, plus N-1
-    independent diagonal ones: (N-1)(N+1) = N^2 - 1 parameters in total.
-    """
-    if dim < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {dim}")
-    n_planes = dim * (dim - 1) // 2
-    return n_planes, dim * dim - 1

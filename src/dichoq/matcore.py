@@ -111,8 +111,8 @@ def make_hermitian(dim: int, entries) -> HermitianMatrix:
     Deviations from conjugate symmetry below TOL_HERM are averaged away;
     anything larger raises NotHermitian with the worst deviation.
     """
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    if dim < 2:
+        raise DimensionMismatch(f"dim must be >= 2, got {dim}")
     arr = _as_complex_array(entries, dim)
     deviation = float(np.abs(arr - arr.conj().T).max())
     if deviation > TOL_HERM:

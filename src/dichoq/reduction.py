@@ -11,9 +11,7 @@ input, and is raised as InternalInvariantViolation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,13 +48,10 @@ def factorizations(dim: int) -> list[Factorization]:
 
 @dataclass(frozen=True, eq=False)
 class BlockView:
-    """The n x n grid of m x m blocks of a matrix, indexed 1-based."""
+    """The n x n grid of m x m blocks of a matrix; blocks[j - 1, k - 1] is R_jk."""
 
     factorization: Factorization
     blocks: np.ndarray  # shape (n, n, m, m)
-
-    def block(self, j: int, k: int) -> np.ndarray:
-        return self.blocks[j - 1, k - 1]
 
     def block_traces(self) -> np.ndarray:
         """n x n matrix of block traces."""
@@ -65,10 +60,6 @@ class BlockView:
     def diagonal_block_sum(self) -> np.ndarray:
         """Sum of the n diagonal blocks, an m x m matrix."""
         return np.einsum("jjpq->pq", self.blocks)
-
-    def reassemble(self) -> np.ndarray:
-        n, m = self.factorization.n, self.factorization.m
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def block_decompose(
@@ -115,31 +106,3 @@ def reduce_swapped(rho: DensityMatrix, f: Factorization) -> tuple[DensityMatrix,
     rho1_tilde = _validated(view.diagonal_block_sum(), "rho1_tilde")
     rho2_tilde = _validated(view.block_traces(), "rho2_tilde")
     return rho1_tilde, rho2_tilde
-
-
-class Keep(enum.Enum):
-    """Which tensor factor an iterated reduction step retains."""
-
-    FIRST = "first"
-    SECOND = "second"
-
-
-def iterate_reduction(
-    rho: DensityMatrix, steps: Sequence[tuple[Factorization, Keep]]
-) -> DensityMatrix:
-    """Chain of reductions; every intermediate is validated.
-
-    Each step's factorization must match the current dimension, which is
-    checked up front so a bad chain fails at the offending step.
-    """
-    current = rho
-    for i, (f, keep) in enumerate(steps):
-        if f.N != current.dim:
-            raise BadFactorization(
-                f"step {i}: factorization N {f.N} != current dim {current.dim}"
-            )
-        if keep is Keep.FIRST:
-            current = reduce_rho1(current, f)
-        else:
-            current = reduce_rho2(current, f)
-    return current

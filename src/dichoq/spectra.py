@@ -31,12 +31,6 @@ class CharPoly:
     dim: int
     coefficients: np.ndarray
 
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in self.coefficients[::-1]:
-            acc = acc * x + c
-        return acc
-
 
 def char_poly(rho: DensityMatrix) -> CharPoly:
     """Coefficients from the validated eigenvalues, prod_i (lambda_i - x).
@@ -63,13 +57,6 @@ def reduction_spectra(
     lam1 = eigen_probability(reduce_rho1(rho, f))
     lam2 = eigen_probability(reduce_rho2(rho, f))
     return lam1, lam2
-
-
-def two_level_spectrum_from_det(det: float) -> tuple[float, float]:
-    """Closed-form eigenvalues of a trace-one 2x2 state from its determinant."""
-    disc = max(0.0, 1.0 - 4.0 * det)
-    root = np.sqrt(disc)
-    return (0.5 * (1.0 + root), 0.5 * (1.0 - root))
 
 
 def _det_pair(report: InequalityReport, name: str, det: float) -> None:

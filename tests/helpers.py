@@ -11,7 +11,10 @@ spectra. The oracles are:
   * divergences: scipy (kl_oracle) and a direct power mean
     (tsallis_oracle);
   * frame probabilities: literal traces against every projector
-    (encode_by_trace).
+    (encode_by_trace);
+  * SU(2) lifts of rotations: scipy's quaternions (su2_lift, embed_plane);
+  * two-level spectra: the determinant closed form
+    (two_level_spectrum_from_det).
 
 That keeps every dual-route check honest.
 """
@@ -44,6 +47,24 @@ def random_state(n, rng):
 def random_rotation(rng):
     """Haar-random SO(3) matrix from scipy (independent of frames code)."""
     return Rotation.random(rng=rng).as_matrix()
+
+
+def su2_lift(rotation):
+    """The 2x2 unitary U with U sigma_a U^dag = sum_b R[b, a] sigma_b.
+
+    scipy's unit quaternion (x, y, z, w) of R lifts to
+    U = w I - i (x sigma_x + y sigma_y + z sigma_z).
+    """
+    x, y, z, w = Rotation.from_matrix(rotation).as_quat()
+    return np.array([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]])
+
+
+def embed_plane(dim, plane, u2):
+    """The N x N identity with a 2x2 unitary written into plane (j, k)."""
+    u = np.eye(dim, dtype=complex)
+    idx = [plane.j - 1, plane.k - 1]
+    u[np.ix_(idx, idx)] = u2
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +170,12 @@ def leverrier_charpoly(mat):
             total += sign * elementary[k - i] * power_sums[i]
         elementary[k] = total / k
     return np.array([(-1.0) ** j * elementary[n - j] for j in range(n + 1)])
+
+
+def two_level_spectrum_from_det(det):
+    """Eigenvalues (1 +- sqrt(1 - 4 det)) / 2 of a trace-one 2x2 state."""
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * det))
+    return (0.5 * (1.0 + root), 0.5 * (1.0 - root))
 
 
 def kl_oracle(p, r):

@@ -15,7 +15,6 @@ import dichoq
 from dichoq import cli
 from dichoq.codec import raw_probabilities
 from dichoq.entropy import tsallis_relative
-from dichoq.frames import embed_plane_unitary, su2_lift
 
 import helpers
 
@@ -101,7 +100,7 @@ def test_criterion_4_determinant_bounds():
             det2 = report["det_rho2_lower"].lhs
             for det in (det1, det2):
                 assert -1e-10 <= det <= 0.25 + 1e-10
-            closed = dichoq.spectra.two_level_spectrum_from_det(det1)
+            closed = helpers.two_level_spectrum_from_det(det1)
             spectrum = dichoq.reduce_rho1(state, f4).eigenvalues
             assert np.abs(np.array(closed) - spectrum).max() < 1e-9
             for check in report.checks:
@@ -150,10 +149,10 @@ def test_criterion_6_rotation_covariance():
                 state = dichoq.random_mixed(dim, 70_000 + 100 * dim + i)
                 rot = helpers.random_rotation(rng)
                 table = dichoq.rotate_table(state, rot)
-                u2 = su2_lift(rot)
+                u2 = helpers.su2_lift(rot)
                 mat = np.asarray(state)
                 for i, plane in enumerate(base.planes):
-                    u = embed_plane_unitary(dim, plane, u2)
+                    u = helpers.embed_plane(dim, plane, u2)
                     conj = u.conj().T @ mat @ u
                     j, k = plane.j - 1, plane.k - 1
                     half = 0.5 * (conj[j, j].real + conj[k, k].real)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +315,14 @@ def test_malformed_matrix_exits_2(tmp_path, capsys, command, kind):
 def test_encode_bad_rotation_file_exits_4(tmp_path):
     inp = write_matrix(tmp_path / "rho.json", np.eye(3) / 3)
     rot = tmp_path / "rot.json"
-    for bad in ([["x", 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]):
+    for bad in (
+        [["x", 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [["1", 0, 0], [0, "1", 0], [0, 0, "1"]],
+        [[True, False, False], [False, True, False], [False, False, True]],
+        [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ):
         rot.write_text(json.dumps(bad))
         assert run_cli("encode", "--input", str(inp), "--rotation", str(rot)) == 4
     rot.write_text("[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]")
@@ -366,10 +375,13 @@ def test_batch_roundtrip_through_cli(tmp_path):
 
 def test_console_entrypoint_subprocess(tmp_path):
     inp = write_matrix(tmp_path / "rho.json", np.eye(2) / 2)
+    # the child imports the same dichoq as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(dichoq.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "dichoq.cli", "encode", "--input", str(inp)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p3"] == [0.5]

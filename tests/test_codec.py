@@ -3,7 +3,6 @@ import pytest
 
 import dichoq
 from dichoq.codec import raw_probabilities
-from dichoq.frames import embed_plane_unitary, su2_lift
 
 import helpers
 
@@ -162,32 +161,32 @@ def test_reverse_roundtrip():
 
 
 def test_auxiliary_qubit_shape_and_entry():
+    # the plane's auxiliary qubit [[1/2, rho_12], [rho_12*, 1/2]] has rho_12 = 1/4
     t = qubit_table(0.75, 0.5, 0.75)
-    aux = dichoq.auxiliary_qubit(t, dichoq.PlaneIndex(1, 2))
-    assert abs(aux.matrix.trace() - 1.0) < 1e-15
-    assert np.abs(aux.matrix - aux.matrix.conj().T).max() == 0.0
-    assert aux.off_diagonal() == pytest.approx(0.25)
+    assert dichoq.decode(t).entries[0, 1] == pytest.approx(0.25)
 
 
 def test_auxiliary_qubit_isotropic_block():
     # p1 = p2 = mean diagonal pair -> vanishing off-diagonal
     t = dichoq.DichotomicTable(3, [0.4, 0.35, 0.45], [0.4, 0.35, 0.45], [0.3, 0.5])
-    aux = dichoq.auxiliary_qubit(t, dichoq.PlaneIndex(1, 2))
-    assert np.abs(aux.matrix - np.eye(2) / 2).max() < 1e-15
+    assert abs(dichoq.decode(t).entries[0, 1]) < 1e-15
 
 
 def test_auxiliary_qubit_formula():
+    # rho_jk = (p1 - s/2) - i (p2 - s/2); the auxiliary qubit with unit
+    # diagonal halves and rho_jk off the diagonal is positive: |rho_jk| <= 1/2
     rng = np.random.default_rng(9)
     for _ in range(20):
         state = helpers.random_state(3, rng)
         t = dichoq.encode(state)
         diag = t.diagonal()
+        entries = dichoq.decode(t).entries
         for i, plane in enumerate(dichoq.planes(3)):
             s = diag[plane.j - 1] + diag[plane.k - 1]
             expected = (t.p1[i] - s / 2) - 1j * (t.p2[i] - s / 2)
-            aux = dichoq.auxiliary_qubit(t, plane)
-            assert aux.off_diagonal() == pytest.approx(expected, abs=1e-13)
-            assert aux.min_eigenvalue() >= -1e-12
+            got = entries[plane.j - 1, plane.k - 1]
+            assert got == pytest.approx(expected, abs=1e-13)
+            assert abs(got) <= 0.5
 
 
 def test_qubit_ball_check_cases():
@@ -247,11 +246,11 @@ def test_rotation_law_both_sides(dim):
         state = helpers.random_state(dim, rng)
         rot = helpers.random_rotation(rng)
         table = dichoq.rotate_table(state, rot)
-        u2 = su2_lift(rot)
+        u2 = helpers.su2_lift(rot)
         base = dichoq.build_frame(dim)
         mat = np.asarray(state)
         for plane in base.planes:
-            u = embed_plane_unitary(dim, plane, u2)
+            u = helpers.embed_plane(dim, plane, u2)
             conjugated = u.conj().T @ mat @ u
             for a in (1, 2, 3):
                 if a == 3 and plane.k != plane.j + 1:

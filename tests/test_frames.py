@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 import dichoq
-from dichoq.frames import (
-    embed_plane_unitary,
-    rotation_axis_angle,
-    rotation_from_axis_angle,
-    su2_lift,
-)
 
 import helpers
 
@@ -30,33 +24,6 @@ QUTRIT_PROJECTORS = {
     (2, 3, 2): [[0, 0, 0], [0, 0.5, -0.5j], [0, 0.5j, 0.5]],
     (2, 3, 3): [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
 }
-
-
-def test_weyl_unit_placement():
-    e = dichoq.weyl_unit(2, 1, 2)
-    assert np.array_equal(e, [[0, 1], [0, 0]])
-    e22 = dichoq.weyl_unit(3, 2, 2)
-    expected = np.zeros((3, 3))
-    expected[1, 1] = 1
-    assert np.array_equal(e22, expected)
-
-
-def test_weyl_unit_range_check():
-    with pytest.raises(dichoq.DimensionMismatch):
-        dichoq.weyl_unit(2, 0, 1)
-    with pytest.raises(dichoq.DimensionMismatch):
-        dichoq.weyl_unit(2, 1, 3)
-
-
-def test_weyl_orthonormality():
-    # Tr(E_jk^T E_mn) = delta_jm delta_kn, the defining matrix-unit property
-    n = 3
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            for mm in range(1, n + 1):
-                for nn in range(1, n + 1):
-                    val = np.trace(dichoq.weyl_unit(n, j, k).T @ dichoq.weyl_unit(n, mm, nn))
-                    assert val == (1.0 if (j == mm and k == nn) else 0.0)
 
 
 def test_su2_generators_are_half_paulis_for_qubit():
@@ -123,7 +90,8 @@ def test_frame_projector_invariants(dim):
 def test_identity_frame_diagonal_degeneracy(dim):
     frame = dichoq.build_frame(dim)
     for j in range(1, dim):
-        e_jj = dichoq.weyl_unit(dim, j, j)
+        e_jj = np.zeros((dim, dim))
+        e_jj[j - 1, j - 1] = 1.0
         for k in range(j + 1, dim + 1):
             proj = frame.projector(dichoq.PlaneIndex(j, k), 3)
             assert np.abs(proj - e_jj).max() < 1e-15
@@ -163,28 +131,11 @@ def test_build_frame_rejects_bad_rotations():
         dichoq.build_frame(2, np.diag([np.nan, 1.0, 1.0]))
 
 
-def test_axis_angle_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        rot = helpers.random_rotation(rng)
-        axis, angle = rotation_axis_angle(rot)
-        back = rotation_from_axis_angle(axis, angle)
-        assert np.abs(back - rot).max() < 1e-12
-
-
-def test_axis_angle_at_pi_is_stable():
-    for axis in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.6, 0.8, 0.0]):
-        rot = rotation_from_axis_angle(axis, np.pi)
-        got_axis, got_angle = rotation_axis_angle(rot)
-        assert got_angle == pytest.approx(np.pi, abs=1e-7)
-        assert np.abs(np.abs(got_axis @ np.asarray(axis)) - 1.0) < 1e-7
-
-
 def test_su2_lift_covers_rotation():
     rng = np.random.default_rng(13)
     for _ in range(25):
         rot = helpers.random_rotation(rng)
-        u = su2_lift(rot)
+        u = helpers.su2_lift(rot)
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
         for a in (1, 2, 3):
             rotated = sum(rot[b, a - 1] * PAULI[b + 1] for b in range(3))
@@ -199,9 +150,9 @@ def test_projector_rotation_covariance(dim):
         rot = helpers.random_rotation(rng)
         rotated = dichoq.build_frame(dim, rot)
         base = dichoq.build_frame(dim)
-        u2 = su2_lift(rot)
+        u2 = helpers.su2_lift(rot)
         for plane in base.planes:
-            u = embed_plane_unitary(dim, plane, u2)
+            u = helpers.embed_plane(dim, plane, u2)
             for a in (1, 2, 3):
                 lhs = rotated.projector(plane, a)
                 rhs = u @ base.projector(plane, a) @ u.conj().T
@@ -217,12 +168,6 @@ def test_projector_expectations_are_probabilities():
             for _, _, proj in frame.items():
                 p = float(np.trace(np.asarray(state) @ proj).real)
                 assert -1e-10 <= p <= 1.0 + 1e-10
-
-
-def test_frame_count_check():
-    assert dichoq.frame_count_check(2) == (1, 3)
-    assert dichoq.frame_count_check(3) == (3, 8)
-    assert dichoq.frame_count_check(4) == (6, 15)
 
 
 def test_plane_index_ordering_enforced():

@@ -43,6 +43,12 @@ def test_make_hermitian_rejects_nonfinite():
         dichoq.make_hermitian(2, [[np.nan, 0], [0, 0]])
 
 
+def test_make_hermitian_rejects_dim_one():
+    # a 1 x 1 state has no plane: encode would fail and the audits be empty
+    with pytest.raises(dichoq.DimensionMismatch):
+        dichoq.make_hermitian(1, [[1.0]])
+
+
 def test_eig_isotropic():
     w, u = dichoq.eig_hermitian(dichoq.make_hermitian(2, np.eye(2) / 2))
     assert np.allclose(w, [0.5, 0.5])

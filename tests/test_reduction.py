@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dichoq
-from dichoq import Factorization, Keep
+from dichoq import Factorization
 
 import helpers
 
@@ -29,10 +29,10 @@ def test_factorizations_enumeration():
 def test_block_decompose_isotropic():
     state = dichoq.validate_density(dichoq.make_hermitian(4, np.eye(4) / 4))
     view = dichoq.block_decompose(state, Factorization(4, 2, 2))
-    assert np.allclose(view.block(1, 1), np.eye(2) / 4)
-    assert np.allclose(view.block(2, 2), np.eye(2) / 4)
-    assert np.abs(view.block(1, 2)).max() == 0.0
-    assert np.abs(view.block(2, 1)).max() == 0.0
+    assert np.allclose(view.blocks[0, 0], np.eye(2) / 4)
+    assert np.allclose(view.blocks[1, 1], np.eye(2) / 4)
+    assert np.abs(view.blocks[0, 1]).max() == 0.0
+    assert np.abs(view.blocks[1, 0]).max() == 0.0
 
 
 def test_block_decompose_kron_structure():
@@ -43,7 +43,7 @@ def test_block_decompose_kron_structure():
     view = dichoq.block_decompose(rho, Factorization(6, 2, 3))
     for j in range(1, 3):
         for k in range(1, 3):
-            assert np.abs(view.block(j, k) - a[j - 1, k - 1] * b).max() < 1e-15
+            assert np.abs(view.blocks[j - 1, k - 1] - a[j - 1, k - 1] * b).max() < 1e-15
 
 
 def test_block_decompose_index_formula_and_reassembly():
@@ -56,12 +56,12 @@ def test_block_decompose_index_formula_and_reassembly():
         for k in range(1, 3):
             for p in range(1, 4):
                 for q in range(1, 4):
-                    assert view.block(j, k)[p - 1, q - 1] == mat[
+                    assert view.blocks[j - 1, k - 1][p - 1, q - 1] == mat[
                         (j - 1) * 3 + (p - 1), (k - 1) * 3 + (q - 1)
                     ]
-    assert np.array_equal(view.reassemble(), mat)
+    assert np.array_equal(view.blocks.transpose(0, 2, 1, 3).reshape(6, 6), mat)
     # conjugate block pairing
-    assert np.abs(view.block(1, 2).conj().T - view.block(2, 1)).max() == 0.0
+    assert np.abs(view.blocks[0, 1].conj().T - view.blocks[1, 0]).max() == 0.0
 
 
 def test_block_decompose_bad_dim():
@@ -148,9 +148,10 @@ def test_trace_consistency():
 
 
 def test_iterate_reduction_isotropic_chain():
+    # reducing a reduction, 8 -> 4 -> 2, keeps the maximally mixed state
     state = dichoq.validate_density(dichoq.make_hermitian(8, np.eye(8) / 8))
-    steps = [(Factorization(8, 4, 2), Keep.FIRST), (Factorization(4, 2, 2), Keep.FIRST)]
-    out = dichoq.iterate_reduction(state, steps)
+    half = dichoq.reduce_rho1(state, Factorization(8, 4, 2))
+    out = dichoq.reduce_rho1(half, Factorization(4, 2, 2))
     assert np.abs(np.asarray(out) - np.eye(2) / 2).max() < 1e-15
 
 
@@ -160,14 +161,17 @@ def test_iterate_reduction_product_chain():
     b = helpers.random_state_array(2, rng)
     c = helpers.random_state_array(2, rng)
     state = dichoq.validate_density(dichoq.make_hermitian(8, np.kron(a, np.kron(b, c))))
-    out = dichoq.iterate_reduction(state, [(Factorization(8, 2, 4), Keep.FIRST)])
-    assert np.abs(np.asarray(out) - a).max() < 1e-13
+    half = dichoq.reduce_rho1(state, Factorization(8, 4, 2))
+    out = np.asarray(dichoq.reduce_rho1(half, Factorization(4, 2, 2)))
+    assert np.abs(out - a).max() < 1e-13
+    assert np.abs(out - np.asarray(dichoq.reduce_rho1(state, Factorization(8, 2, 4)))).max() < 1e-15
 
 
 def test_iterate_reduction_matches_one_shot_oracle():
     rng = np.random.default_rng(11)
     state = helpers.random_state(12, rng)
-    out = dichoq.iterate_reduction(state, [(Factorization(12, 3, 4), Keep.FIRST)])
+    half = dichoq.reduce_rho1(state, Factorization(12, 6, 2))
+    out = dichoq.reduce_rho1(half, Factorization(6, 3, 2))
     oracle = helpers.oracle_rho1(np.asarray(state), 3, 4)
     assert np.abs(np.asarray(out) - oracle).max() < 1e-13
 
@@ -175,9 +179,9 @@ def test_iterate_reduction_matches_one_shot_oracle():
 def test_iterate_reduction_bad_chain():
     rng = np.random.default_rng(12)
     state = helpers.random_state(8, rng)
-    steps = [(Factorization(8, 4, 2), Keep.FIRST), (Factorization(6, 2, 3), Keep.FIRST)]
+    reduced = dichoq.reduce_rho1(state, Factorization(8, 4, 2))
     with pytest.raises(dichoq.BadFactorization):
-        dichoq.iterate_reduction(state, steps)
+        dichoq.reduce_rho1(reduced, Factorization(6, 2, 3))
 
 
 def test_keep_second_traces_other_factor():
@@ -185,5 +189,5 @@ def test_keep_second_traces_other_factor():
     a = helpers.random_state_array(2, rng)
     b = helpers.random_state_array(4, rng)
     state = dichoq.validate_density(dichoq.make_hermitian(8, np.kron(a, b)))
-    out = dichoq.iterate_reduction(state, [(Factorization(8, 2, 4), Keep.SECOND)])
+    out = dichoq.reduce_rho2(state, Factorization(8, 2, 4))
     assert np.abs(np.asarray(out) - b).max() < 1e-13
