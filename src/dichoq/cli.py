@@ -49,6 +49,23 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+_REPORT_ROW = (
+    '  {\n    "bound": %s,\n    "lhs": %s,\n    "name": %s,\n'
+    '    "satisfied": %s,\n    "slack": %s\n  }'
+)
+
+
+def report_json(report: InequalityReport) -> str:
+    """canonical_json(report.to_list()), with each float's text as json.dumps writes it."""
+    bound, lhs, slack = (
+        json.dumps(column)[1:-1].split(", ") for column in (report.bound, report.lhs, report.slack)
+    )
+    names = map(json.encoder.encode_basestring_ascii, report.names)
+    flags = ["true" if ok else "false" for ok in report.satisfied()]
+    rows = [_REPORT_ROW % row for row in zip(bound, lhs, names, flags, slack)]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,9 +117,12 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
         values = tuple(float(x) for x in text.split(","))
         for q in values:
             entropy.EntropyParams(q)
-        return values
     except (ValueError, OutOfRange) as exc:
         raise CliError(EXIT_USAGE, f"bad --q list: {exc}") from exc
+    labels = [f"{q:g}" for q in values]  # as the check names print q
+    if len(set(labels)) < len(labels):
+        raise CliError(EXIT_USAGE, f"bad --q list: {text} gives two checks one name")
+    return values
 
 
 def _table_csv(table: codec.DichotomicTable) -> str:
@@ -185,12 +205,12 @@ def cmd_decode(args) -> int:
 
 
 def _audit_report(mat: np.ndarray, factor: reduction.Factorization | None, q_values) -> InequalityReport:
-    report = InequalityReport()
-    report.extend(entropy.vn_suite_from_matrix(mat))
+    probs = entropy.matrix_probabilities(mat)
+    report = entropy.vn_suite_from_matrix(probs)
     for a, b in AXIS_PAIRS:
         for q in q_values:
             report.extend(
-                entropy.tsallis_suite_from_matrix(mat, a, b, entropy.EntropyParams(q))
+                entropy.tsallis_suite_from_matrix(probs, a, b, entropy.EntropyParams(q))
             )
     if factor is not None and factor.n == 2:
         report.extend(spectra.det_bounds_from_matrix(mat, factor))
@@ -206,7 +226,7 @@ def cmd_audit(args) -> int:
     factor = _parse_factor(args.factor, m.dim) if args.factor else None
     q_values = _parse_q_list(args.q) if args.q else DEFAULT_Q
     report = _audit_report(m.entries, factor, q_values)
-    _write_text(canonical_json(report.to_list()), args.output)
+    _write_text(report_json(report), args.output)
     return EXIT_OK if report.all_satisfied else EXIT_VIOLATION
 
 

@@ -2,9 +2,12 @@
 
 Every probability extracted from a state carries a nonnegative binary
 (von Neumann) entropy, and any ordered pair of them a nonnegative Tsallis
-relative entropy. Both suites also run on raw Hermitian arrays so the
-audit path can flag out-of-range probabilities of near-states instead of
-silently clamping them.
+relative entropy. Both suites run on a raw Hermitian array's
+MatrixProbabilities, derived once per array, so an audit can hand the same
+columns to every suite and flag out-of-range probabilities of near-states
+instead of silently clamping them. Each suite builds its rows as whole
+columns; the logarithms and powers stay on Python floats (libm), so every
+row equals dichotomic_entropy / tsallis_relative of the clamped value.
 
 Conventions: natural logarithms, 0 ln 0 = 0, and 0^q x^(1-q) = 0 for
 q > 0. A zero in the reference distribution with q > 1 drives the Tsallis
@@ -13,7 +16,7 @@ value to +infinity; such entries are reported as satisfied-at-infinity.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +24,7 @@ import numpy as np
 
 from .codec import PROB_TOL, raw_probabilities
 from .errors import BadFactorization, OutOfRange
+from .frames import plane_indices, planes
 from .matcore import DensityMatrix
 from .reduction import Factorization, block_decompose
 from .report import InequalityReport
@@ -78,25 +82,65 @@ def tsallis_relative(p: float, r: float, q: float) -> float:
     return (moment - 1.0) / (q - 1.0)
 
 
-def _plane_probabilities(mat: np.ndarray):
-    """(j, k, (p1, p2, p3)) per plane, 1-based; axis 3 of plane (j, k) is row j's."""
-    p1, p2, p3 = (values.tolist() for values in raw_probabilities(mat))
-    pairs = itertools.combinations(range(1, mat.shape[0] + 1), 2)
-    for i, (j, k) in enumerate(pairs):
-        yield j, k, (p1[i], p2[i], p3[j - 1])
+@dataclass(frozen=True, eq=False)
+class MatrixProbabilities:
+    """A Hermitian array and its dichotomic probabilities, derived once.
+
+    raw and clamped (clipped into [0, 1]) hold Python floats plane by plane
+    in lexicographic order, axes 1, 2, 3 within a plane (axis 3 of plane
+    (j, k) is row j's), so raw[a - 1::3] is axis a's column. in_range says
+    no value lies beyond PROB_TOL outside [0, 1] and none is NaN, the one
+    value that clipping and the scalar clamp (NaN to 0) treat apart.
+    """
+
+    matrix: np.ndarray
+    raw: list[float]
+    clamped: list[float]
+    in_range: bool
 
 
-def _range_violation(report: InequalityReport, name: str, value: float) -> bool:
-    """Record an out-of-range probability as a violated entry."""
-    dist = max(-value, value - 1.0)
-    if dist > PROB_TOL:
-        report.add(name, value, 0.0, -dist)
-        return True
-    return False
+def matrix_probabilities(mat: np.ndarray) -> MatrixProbabilities:
+    """Derive every probability of a Hermitian array once, for all the suites."""
+    p1, p2, p3 = raw_probabilities(mat)
+    raw = np.stack((p1, p2, p3[plane_indices(mat.shape[0])[0]]), axis=1)
+    in_range = bool((np.maximum(-raw, raw - 1.0) <= PROB_TOL).all())
+    clamped = raw.clip(0.0, 1.0).ravel().tolist()
+    return MatrixProbabilities(mat, raw.ravel().tolist(), clamped, in_range)
+
+
+@functools.lru_cache(maxsize=64)
+def _plane_labels(dim: int) -> tuple[str, ...]:
+    """The name label "j=J,k=K" of every plane, in lexicographic order."""
+    return tuple(f"j={p.j},k={p.k}" for p in planes(dim))
 
 
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
+
+
+def _positivity(names: list[str], values: list[float]) -> InequalityReport:
+    """Rows value >= 0, one per name."""
+    return InequalityReport(names, values, [0.0] * len(values), values[:])
+
+
+def _checked_positivity(names: list[str], fn, *columns: list[float]) -> InequalityReport:
+    """Rows fn(clamped values) >= 0 per name, for columns that leave [0, 1].
+
+    A row whose raw value lies beyond PROB_TOL outside [0, 1] reports the
+    first such value as its lhs, minus that distance as slack, and is named
+    "[ref]" when the value is a reference (not the first) argument of fn.
+    """
+    report = InequalityReport()
+    for name, values in zip(names, zip(*columns)):
+        for i, value in enumerate(values):
+            dist = max(-value, value - 1.0)
+            if dist > PROB_TOL:
+                report.add(name if i == 0 else f"{name}[ref]", value, 0.0, -dist)
+                break
+        else:
+            value = fn(*map(_clamp, values))
+            report.add(name, value, 0.0, value)
+    return report
 
 
 def qubit_matrix_forms(off_diagonal: complex) -> tuple[float, float]:
@@ -117,16 +161,15 @@ def qubit_matrix_forms(off_diagonal: complex) -> tuple[float, float]:
     return form(float(off_diagonal.real)), form(float(off_diagonal.imag))
 
 
-def vn_suite_from_matrix(mat: np.ndarray) -> InequalityReport:
+def vn_suite_from_matrix(probs: MatrixProbabilities) -> InequalityReport:
     """Binary-entropy positivity for every (plane, axis) probability."""
-    report = InequalityReport()
-    for j, k, values in _plane_probabilities(mat):
-        for axis, value in zip((1, 2, 3), values):
-            name = f"vn(j={j},k={k},a={axis})"
-            if _range_violation(report, name, value):
-                continue
-            entropy = dichotomic_entropy(_clamp(value))
-            report.add(name, entropy, 0.0, entropy)
+    mat = probs.matrix
+    axes = (",a=1)", ",a=2)", ",a=3)")
+    names = ["vn(" + label + axis for label in _plane_labels(mat.shape[0]) for axis in axes]
+    if probs.in_range:
+        report = _positivity(names, list(map(dichotomic_entropy, probs.clamped)))
+    else:
+        report = _checked_positivity(names, dichotomic_entropy, probs.raw)
     if mat.shape[0] == 2:
         re_form, im_form = qubit_matrix_forms(complex(mat[0, 1]))
         report.add("qubit_matrix_re", re_form, 0.0, -re_form)
@@ -136,34 +179,30 @@ def vn_suite_from_matrix(mat: np.ndarray) -> InequalityReport:
 
 def vn_inequality_suite(rho: DensityMatrix) -> InequalityReport:
     """Entropy-positivity suite of a validated state."""
-    return vn_suite_from_matrix(rho.entries)
+    return vn_suite_from_matrix(matrix_probabilities(rho.entries))
 
 
 def tsallis_suite_from_matrix(
-    mat: np.ndarray, a: int, b: int, params: EntropyParams
+    probs: MatrixProbabilities, a: int, b: int, params: EntropyParams
 ) -> InequalityReport:
     """Per-plane Tsallis relative entropy between two axis distributions."""
     if a == b or a not in (1, 2, 3) or b not in (1, 2, 3):
         raise OutOfRange(f"axes must be distinct members of (1, 2, 3), got ({a}, {b})")
-    report = InequalityReport()
     q = params.q
-    for j, k, values in _plane_probabilities(mat):
-        pa, pb = values[a - 1], values[b - 1]
-        name = f"tsallis(j={j},k={k},a={a},b={b},q={q:g})"
-        if _range_violation(report, name, pa) or _range_violation(
-            report, f"{name}[ref]", pb
-        ):
-            continue
-        value = tsallis_relative(_clamp(pa), _clamp(pb), q)
-        report.add(name, value, 0.0, value)
-    return report
+    suffix = f",a={a},b={b},q={q:g})"
+    names = ["tsallis(" + label + suffix for label in _plane_labels(probs.matrix.shape[0])]
+    if probs.in_range:
+        ua, ub = probs.clamped[a - 1 :: 3], probs.clamped[b - 1 :: 3]
+        return _positivity(names, list(map(tsallis_relative, ua, ub, [q] * len(names))))
+    xs, ys = probs.raw[a - 1 :: 3], probs.raw[b - 1 :: 3]
+    return _checked_positivity(names, functools.partial(tsallis_relative, q=q), xs, ys)
 
 
 def tsallis_inequality(
     rho: DensityMatrix, a: int, b: int, params: EntropyParams
 ) -> InequalityReport:
     """Tsallis relative-entropy suite of a validated state."""
-    return tsallis_suite_from_matrix(rho.entries, a, b, params)
+    return tsallis_suite_from_matrix(matrix_probabilities(rho.entries), a, b, params)
 
 
 def reduced_suite_from_matrix(

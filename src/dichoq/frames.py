@@ -24,6 +24,7 @@ ORTHO_TOL = 1e-12
 AXES = (1, 2, 3)
 IDENTITY = np.eye(3)
 IDENTITY.setflags(write=False)
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True, order=True)
@@ -75,11 +76,12 @@ def su2_generators(dim: int, plane: PlaneIndex):
 
 
 def check_rotation(rotation) -> np.ndarray:
-    """Validate a 3x3 special orthogonal matrix and return it as float64."""
-    try:
-        r = np.asarray(rotation, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"rotation entries must be numbers: {exc}") from exc
+    """Validate a 3x3 special orthogonal matrix of real numbers; return it as float64."""
+    if not (isinstance(rotation, np.ndarray) and rotation.dtype.kind in "iuf"):
+        entries = np.asarray(rotation, dtype=object).flat
+        if not all(isinstance(x, _NUMBERS) and not isinstance(x, bool) for x in entries):
+            raise DimensionMismatch("rotation entries must be numbers, not strings or booleans")
+    r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise DimensionMismatch(f"rotation must be 3x3, got {r.shape}")
     if not np.all(np.isfinite(r)):

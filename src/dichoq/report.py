@@ -1,8 +1,11 @@
-"""Inequality check records shared by the spectral and entropic suites.
+"""Inequality reports shared by the spectral and entropic suites.
 
 Each check is one scalar inequality with its slack: the margin by which it
-holds (negative means violated). Serialized form is a JSON array of
-{"name", "lhs", "bound", "slack", "satisfied"} objects.
+holds (negative means violated). A report keeps its checks as four
+parallel columns (names, lhs, bound, slack) of Python floats: the entropy
+suites build whole columns, the scalar suites `add` one row, and `checks`
+builds an `InequalityCheck` per row on request. Serialized form is a JSON
+array of {"name", "lhs", "bound", "slack", "satisfied"} objects.
 """
 
 from __future__ import annotations
@@ -29,43 +32,49 @@ class InequalityCheck:
     def saturated(self) -> bool:
         return math.isfinite(self.slack) and abs(self.slack) < SATURATION_TOL
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": float(self.lhs),
-            "bound": float(self.bound),
-            "slack": float(self.slack),
-            "satisfied": self.satisfied,
-        }
-
 
 @dataclass
 class InequalityReport:
-    checks: list[InequalityCheck] = field(default_factory=list)
+    """Checks in insertion order; the four columns are distinct lists."""
 
-    def add(self, name: str, lhs: float, bound: float, slack: float) -> InequalityCheck:
-        check = InequalityCheck(name, float(lhs), float(bound), float(slack))
-        self.checks.append(check)
-        return check
+    names: list[str] = field(default_factory=list)
+    lhs: list[float] = field(default_factory=list)
+    bound: list[float] = field(default_factory=list)
+    slack: list[float] = field(default_factory=list)
+
+    def add(self, name: str, lhs: float, bound: float, slack: float) -> None:
+        self.extend(InequalityReport([name], [float(lhs)], [float(bound)], [float(slack)]))
 
     def extend(self, other: "InequalityReport") -> None:
-        self.checks.extend(other.checks)
+        self.names += other.names
+        self.lhs += other.lhs
+        self.bound += other.bound
+        self.slack += other.slack
+
+    @property
+    def checks(self) -> list[InequalityCheck]:
+        return list(map(InequalityCheck, self.names, self.lhs, self.bound, self.slack))
+
+    def satisfied(self) -> list[bool]:
+        return [s >= -SLACK_TOL for s in self.slack]
 
     @property
     def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.checks)
+        return all(self.satisfied())
 
     def violations(self) -> list[InequalityCheck]:
         return [c for c in self.checks if not c.satisfied]
 
     def __getitem__(self, name: str) -> InequalityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        if name not in self.names:
+            raise KeyError(name)
+        i = self.names.index(name)
+        return InequalityCheck(name, self.lhs[i], self.bound[i], self.slack[i])
 
     def __len__(self) -> int:
-        return len(self.checks)
+        return len(self.names)
 
     def to_list(self) -> list[dict]:
-        return [c.to_dict() for c in self.checks]
+        rows = zip(self.names, self.lhs, self.bound, self.slack, self.satisfied())
+        keys = ("name", "lhs", "bound", "slack", "satisfied")
+        return [dict(zip(keys, row)) for row in rows]

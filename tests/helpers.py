@@ -10,6 +10,8 @@ spectra. The oracles are:
     on trace powers (leverrier_charpoly), accurate for small N only;
   * divergences: scipy (kl_oracle) and a direct power mean
     (tsallis_oracle);
+  * audit rows: the scalar entropy functions one probability at a time
+    (audit_rows_oracle);
   * frame probabilities: literal traces against every projector
     (encode_by_trace);
   * SU(2) lifts of rotations: scipy's quaternions (su2_lift, embed_plane);
@@ -26,6 +28,7 @@ from scipy.spatial.transform import Rotation
 from scipy.special import rel_entr
 
 import dichoq
+from dichoq.codec import raw_probabilities
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -191,6 +194,51 @@ def tsallis_oracle(p, r, q):
         return np.inf if q > 1 else (np.sum(pv[mask & (rv > 0)] ** q * rv[mask & (rv > 0)] ** (1 - q)) - 1) / (q - 1)
     total = np.sum(pv[mask] ** q * rv[mask] ** (1 - q))
     return float((total - 1) / (q - 1))
+
+
+def audit_rows_oracle(mat, q_values):
+    """(name, lhs, bound, slack) of an audit's vn and Tsallis rows, one at a time.
+
+    The per-probability loop the columnar suites replaced: every raw
+    probability beyond 1e-10 outside [0, 1] is reported as itself with
+    minus that distance as slack (a Tsallis reference as "[ref]"); every
+    other row is the scalar dichotomic_entropy / tsallis_relative of the
+    clamped values.
+    """
+    p1, p2, p3 = (values.tolist() for values in raw_probabilities(mat))
+    n = mat.shape[0]
+    pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
+    axes = [(p1[i], p2[i], p3[j - 1]) for i, (j, k) in enumerate(pairs)]
+
+    def miss(value):
+        dist = max(-value, value - 1.0)
+        return -dist if dist > 1e-10 else None
+
+    def clamp(value):
+        return min(1.0, max(0.0, value))
+
+    rows = []
+    for (j, k), values in zip(pairs, axes):
+        for axis, x in zip((1, 2, 3), values):
+            name = f"vn(j={j},k={k},a={axis})"
+            if miss(x) is not None:
+                rows.append((name, x, 0.0, miss(x)))
+            else:
+                h = dichoq.dichotomic_entropy(clamp(x))
+                rows.append((name, h, 0.0, h))
+    for a, b in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)):
+        for q in q_values:
+            for (j, k), values in zip(pairs, axes):
+                name = f"tsallis(j={j},k={k},a={a},b={b},q={q:g})"
+                x, y = values[a - 1], values[b - 1]
+                if miss(x) is not None:
+                    rows.append((name, x, 0.0, miss(x)))
+                elif miss(y) is not None:
+                    rows.append((name + "[ref]", y, 0.0, miss(y)))
+                else:
+                    t = dichoq.tsallis_relative(clamp(x), clamp(y), q)
+                    rows.append((name, t, 0.0, t))
+    return rows
 
 
 def encode_by_trace(state, frame):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import dichoq
-from dichoq import cli, matcore
+from dichoq import cli, codec, entropy, matcore
+from dichoq.codec import raw_probabilities
 
 import helpers
 
@@ -208,6 +209,44 @@ def test_audit_bad_factor_exits_4(tmp_path):
 def test_audit_bad_q_exits_4(tmp_path):
     inp = write_matrix(tmp_path / "rho.json", np.eye(4) / 4)
     assert run_cli("audit", "--input", str(inp), "--q", "1.0") == 4
+    # check names print q to 6 significant digits: both lists would name
+    # two checks tsallis(j=1,k=2,a=1,b=2,q=2)
+    for ambiguous in ("2,2.0000001", "2,2"):
+        assert run_cli("audit", "--input", str(inp), "--q", ambiguous) == 4
+    assert run_cli("audit", "--input", str(inp), "--q", "2,2.00001") == 0
+
+
+def test_audit_derives_probabilities_once(monkeypatch):
+    calls = []
+
+    def counting(mat, *args):
+        calls.append(mat.shape)
+        return raw_probabilities(mat, *args)
+
+    monkeypatch.setattr(entropy, "raw_probabilities", counting)
+    monkeypatch.setattr(codec, "raw_probabilities", counting)
+    cli._audit_report(helpers.bell_state(), dichoq.Factorization(4, 2, 2), cli.DEFAULT_Q)
+    assert calls == [(4, 4)]
+
+
+def test_audit_writer_matches_json_dumps(tmp_path):
+    # the fixed-template writer against the stdlib encoder on real reports,
+    # near-states with violated rows included
+    rng = np.random.default_rng(21)
+    cases = [
+        helpers.random_state_array(4, rng),
+        helpers.bell_state(),
+        helpers.near_state_negative_eig(),
+    ]
+    for mat in cases:
+        report = cli._audit_report(mat, dichoq.Factorization(4, 2, 2), cli.DEFAULT_Q)
+        assert cli.report_json(report) == cli.canonical_json(report.to_list())
+    inp = write_matrix(tmp_path / "rho.json", cases[0])
+    out = tmp_path / "audit.json"
+    assert run_cli("audit", "--input", str(inp), "--output", str(out)) == 0
+    m = dichoq.matrix_from_json_dict(json.loads(inp.read_text()))
+    report = cli._audit_report(m.entries, None, cli.DEFAULT_Q)
+    assert out.read_text() == cli.canonical_json(report.to_list())
 
 
 def test_reduce_recovers_product_factor(tmp_path):

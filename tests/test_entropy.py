@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import dichoq
-from dichoq import EntropyParams, Factorization
+from dichoq import EntropyParams, Factorization, cli
 from dichoq.entropy import (
+    matrix_probabilities,
     qubit_matrix_forms,
     tsallis_relative,
     vn_suite_from_matrix,
@@ -121,11 +122,48 @@ def test_vn_suite_includes_matrix_forms_for_qubits():
 
 
 def test_vn_suite_flags_out_of_range_probability():
-    report = vn_suite_from_matrix(helpers.near_state_negative_eig())
+    report = vn_suite_from_matrix(matrix_probabilities(helpers.near_state_negative_eig()))
     bad = report["vn(j=1,k=2,a=1)"]
     assert not bad.satisfied
     assert bad.slack == pytest.approx(-1e-3, abs=1e-12)
     assert not report.all_satisfied
+
+
+def _suite_rows(report):
+    rows = zip(report.names, report.lhs, report.bound, report.slack)
+    return [row for row in rows if row[0].startswith(("vn(", "tsallis("))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_suite_columns_equal_scalar_oracle(dim):
+    # the columns must be the scalar functions' floats, compared with ==
+    rng = np.random.default_rng(100 + dim)
+    basis = np.zeros((dim, dim), dtype=complex)
+    basis[0, 0] = 1.0  # zeros and ones exercise 0 ln 0 and support loss
+    cases = [helpers.random_state_array(dim, rng), np.eye(dim) / dim, basis]
+    if dim <= 4:  # p1 of plane (1, 2) at -1e-12: inside the tolerance, clamped to 0
+        cases.append(helpers.near_state_negative_eig(dim, epsilon=1e-12))
+    for mat in cases:
+        for q_values in (cli.DEFAULT_Q, (0.25, 1.5, 10.0)):
+            report = cli._audit_report(np.asarray(mat), None, q_values)
+            assert _suite_rows(report) == helpers.audit_rows_oracle(mat, q_values)
+
+
+def test_suite_columns_report_near_state_like_scalar_loop():
+    mat = helpers.near_state_negative_eig()
+    report = cli._audit_report(mat, None, cli.DEFAULT_Q)
+    assert _suite_rows(report) == helpers.audit_rows_oracle(mat, cli.DEFAULT_Q)
+    # p1 of plane (1, 2) is -1e-3: its vn row, the Tsallis rows comparing
+    # it, and as "[ref]" the rows taking it as the reference
+    expected = ["vn(j=1,k=2,a=1)"] + [
+        f"tsallis(j=1,k=2,a={a},b={b},q={q:g}){ref}"
+        for a, b, ref in ((1, 2, ""), (1, 3, ""), (2, 1, "[ref]"), (3, 1, "[ref]"))
+        for q in cli.DEFAULT_Q
+    ]
+    assert sorted(c.name for c in report.violations()) == sorted(expected)
+    for check in report.violations():
+        assert check.lhs == pytest.approx(-1e-3, abs=1e-15)
+        assert check.slack == check.lhs  # below 0, the distance from [0, 1] is -lhs
 
 
 def test_tsallis_equal_distributions_vanish():

@@ -124,9 +124,19 @@ def test_build_frame_rejects_bad_rotations():
         dichoq.build_frame(2, np.eye(3) * 1.1)
     with pytest.raises(dichoq.NotSpecial):
         dichoq.build_frame(2, np.diag([1.0, 1.0, -1.0]))
-    for bad in ([["x", 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1, 0], [0, 0, 1]]):
+    for bad in (
+        [["x", 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0], [0, 1, 0], [0, 0, 1]],
+        [["1", 0, 0], [0, "1", 0], [0, 0, "1"]],
+        np.eye(3).astype(bool).tolist(),
+        np.eye(3, dtype=bool),
+        [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+        np.eye(3).astype(str),
+    ):
         with pytest.raises(dichoq.DimensionMismatch):
             dichoq.build_frame(2, bad)
+    for good in (np.eye(3, dtype=int), np.eye(3, dtype=np.float32), [[1, 0, 0], [0, 1.0, 0], [0, 0, 1]]):
+        assert np.array_equal(dichoq.build_frame(2, good).rotation, np.eye(3))
     with pytest.raises(dichoq.DimensionMismatch):
         dichoq.build_frame(2, np.diag([np.nan, 1.0, 1.0]))
 

@@ -1,4 +1,5 @@
-"""Property tests: the CLI's exit-code contract on fuzzed JSON, and the codec roundtrip.
+"""Property tests: the CLI's exit-code contract on fuzzed JSON, the codec
+roundtrip, and the audit writer against the stdlib JSON encoder.
 
 Payloads start valid (a state, a table, a rotation) and lose at most one
 value, at any depth, to an arbitrary JSON value: a string, a boolean,
@@ -12,12 +13,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import dichoq
 from dichoq import cli
+from dichoq.report import InequalityReport
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FUZZ = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -146,3 +148,19 @@ def test_encode_decode_roundtrip(rho):
     state = dichoq.validate_density(dichoq.make_hermitian(len(rho), rho))
     decoded = dichoq.decode(dichoq.encode(state))
     assert np.abs(decoded.entries - rho).max() < 1e-12
+
+
+# any float (inf, -inf, NaN, -0.0 and subnormals included) and any text
+# (control characters, quotes, backslashes and non-ASCII letters included)
+report_rows = st.lists(
+    st.tuples(st.text(max_size=8), st.floats(), st.floats(), st.floats()), max_size=6
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(report_rows)
+@example([])
+@example([("q\u00e9\x00\"\\", -0.0, 5e-324, float("nan")), ("", float("inf"), -float("inf"), 1e308)])
+def test_report_writer_matches_json_dumps(rows):
+    report = InequalityReport(*(list(column) for column in zip(*rows))) if rows else InequalityReport()
+    assert cli.report_json(report) == json.dumps(report.to_list(), sort_keys=True, indent=2) + "\n"
