@@ -9,6 +9,7 @@ round-trip float formatting, trailing newline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -290,6 +291,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dichoq",

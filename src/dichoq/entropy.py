@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .reduction import Factorization, block_decompose
 from .report import InequalityReport
 
 Q_MAX = 10.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,11 @@ def tsallis_relative(p: float, r: float, q: float) -> float:
             if q > 1.0:
                 return math.inf
             continue  # a^q * b^(1-q) -> a^q * 0^(positive) = 0
-        moment += a**q * b ** (1.0 - q)
+        try:
+            moment += a**q * b ** (1.0 - q)
+        except OverflowError:  # b ** (1 - q) beyond float range, q > 1
+            log_term = q * math.log(a) + (1.0 - q) * math.log(b)
+            moment += math.exp(log_term) if log_term < _LOG_FLOAT_MAX else math.inf
     return (moment - 1.0) / (q - 1.0)
 
 

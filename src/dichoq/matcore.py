@@ -117,7 +117,7 @@ def make_hermitian(dim: int, entries) -> HermitianMatrix:
     deviation = float(np.abs(arr - arr.conj().T).max())
     if deviation > TOL_HERM:
         raise NotHermitian(deviation)
-    sym = (arr + arr.conj().T) / 2.0
+    sym = arr / 2.0 + arr.conj().T / 2.0  # halves first: no overflow near float max
     sym.setflags(write=False)
     return HermitianMatrix(sym)
 
@@ -166,14 +166,14 @@ def validate_density(m: HermitianMatrix) -> DensityMatrix:
 
     Positivity is tested through the eigenvalues (robust, and the spectrum
     is retained on the result); near-zero negatives inside the tolerance
-    are clamped to 0.
+    are clamped to 0. The tests are written so that NaN fails them.
     """
     tr = m.trace()
-    if abs(tr - 1.0) > TOL_TRACE:
+    if not abs(tr - 1.0) <= TOL_TRACE:
         raise NotTraceOne(tr)
     vals = eigvals_hermitian(m)
-    min_eig = float(vals[-1])
-    if min_eig < -TOL_PSD:
+    min_eig = float(vals[-1])  # NaN sorts last
+    if not min_eig >= -TOL_PSD:
         raise NotPositive(min_eig)
     clamped = np.clip(vals, 0.0, None)
     clamped.setflags(write=False)

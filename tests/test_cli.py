@@ -424,3 +424,84 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p3"] == [0.5]
+
+
+def test_entries_near_float_max_fail_validation(tmp_path, capsys):
+    # symmetrizing must not overflow the diagonal into a NaN trace, which
+    # would pass every validation test
+    huge = {"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [-1e308, 0]]}
+    inp = write_raw(tmp_path / "huge.json", huge)
+    assert run_cli("encode", "--input", str(inp)) == 3
+    assert run_cli("audit", "--input", str(inp)) == 3
+    huge4 = {"dim": 4, "entries": [[1e308, 0]] + [[0, 0]] * 14 + [[-1e308, 0]]}
+    inp4 = write_raw(tmp_path / "huge4.json", huge4)
+    assert run_cli("reduce", "--input", str(inp4), "--factor", "2,2") == 3
+    assert capsys.readouterr().err.count("trace 0.0 is not 1") == 3
+
+
+def test_audit_reference_probability_below_power_range(tmp_path, capsys):
+    # p3 of planes (1, 2) and (1, 3) is 1 - 5e-301, so r ** (1 - q) at q = 5
+    # overflows a float
+    inp = write_matrix(tmp_path / "rho.json", np.diag([1 - 1e-300, 5e-301, 5e-301]))
+    out = tmp_path / "report.json"
+    assert run_cli("audit", "--input", str(inp), "--output", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    m = dichoq.matrix_from_json_dict(json.loads(inp.read_text()))
+    report = cli._audit_report(m.entries, None, cli.DEFAULT_Q)
+    assert out.read_text() == cli.canonical_json(report.to_list())
+
+
+def run_captured(capsys, argv):
+    code = cli.main([str(arg) for arg in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    # flags of one call must not leak into the next through the shared
+    # parser: the output of each call in a sequence equals that of a
+    # parser built for the call alone
+    rng = np.random.default_rng(31)
+    inp = write_matrix(tmp_path / "rho.json", helpers.random_state_array(4, rng))
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))
+    calls = [
+        ("encode", "--input", inp, "--rotation", rot),
+        ("encode", "--input", inp),
+        ("audit", "--input", inp, "--q", "2"),
+        ("audit", "--input", inp),
+        ("encode", "--input", inp, "--format", "csv"),
+        ("frobnicate",),
+        ("audit", "--input", inp, "--factor", "2,2", "--no-validate"),
+        ("reduce", "--input", inp, "--keep", "second", "--bogus"),
+        ("reduce", "--input", inp, "--factor", "2,2"),
+        ("encode", "--input", inp),
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_captured(capsys, argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_captured(capsys, argv) for argv in calls]
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 0, 4, 0, 4, 0, 0]
+    assert shared[1] == shared[-1] and shared[1][1] != shared[0][1]
+    assert shared[2][1] != shared[3][1]
+    assert "invalid choice: 'frobnicate'" in shared[5][2]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"]])
+def test_shared_parser_help_follows_terminal_width(capsys, monkeypatch, argv):
+    # help picks its width when it is printed, not when the parser is built
+    cli.build_parser()
+    texts = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        shared = run_captured(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert run_captured(capsys, argv) == shared
+        assert shared[0] == 0
+        texts[columns] = shared[1]
+    assert texts["40"] != texts["200"]

@@ -229,6 +229,23 @@ def test_tsallis_zero_support_is_satisfied_at_infinity():
     assert report.checks[0].satisfied
 
 
+def test_tsallis_reference_below_power_range():
+    # r ** (1 - q) overflows a float for r < ~1e-77 at q = 5; the product
+    # with p ** q is taken through logarithms, and is +inf only if it
+    # overflows too
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def exact(p, r, q):
+        p, r, q = mpmath.mpf(p), mpmath.mpf(r), mpmath.mpf(q)
+        return float((p**q * r ** (1 - q) + (1 - p) ** q * (1 - r) ** (1 - q) - 1) / (q - 1))
+
+    assert tsallis_relative(0.5, 1e-100, 5.0) == math.inf
+    assert tsallis_relative(0.5, 5e-301, 10.0) == math.inf
+    for p, r, q in ((1e-60, 1e-78, 5.0), (1e-100, 1e-100, 5.0), (1e-30, 1e-36, 10.0)):
+        assert tsallis_relative(p, r, q) == pytest.approx(exact(p, r, q), rel=1e-12, abs=1e-15)
+
+
 def test_tsallis_rejects_bad_axes():
     rng = np.random.default_rng(8)
     state = helpers.random_state(2, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dichoq
+from dichoq.matcore import HermitianMatrix
 
 import helpers
 
@@ -175,6 +176,23 @@ def test_validate_density_rejects_negative():
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(dichoq.NotTraceOne):
         dichoq.validate_density(dichoq.make_hermitian(2, np.eye(2)))
+
+
+def test_make_hermitian_entries_near_float_max():
+    # (a + a^H) / 2 would overflow the diagonal to +-inf; halves do not
+    m = dichoq.make_hermitian(2, np.diag([1e308, -1e308]))
+    assert m.entries[0, 0] == 1e308 and m.entries[1, 1] == -1e308
+    assert np.isfinite(m.entries).all()
+
+
+def test_validate_density_rejects_nan():
+    # NaN fails no comparison, so each test must be one that NaN fails
+    nan_trace = HermitianMatrix(np.diag([np.nan, 1.0]).astype(complex))
+    with pytest.raises(dichoq.NotTraceOne):
+        dichoq.validate_density(nan_trace)
+    nan_spectrum = HermitianMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]], dtype=complex))
+    with pytest.raises(dichoq.NotPositive):
+        dichoq.validate_density(nan_spectrum)
 
 
 def test_validate_density_bloch_overflow():
