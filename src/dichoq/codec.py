@@ -147,10 +147,11 @@ def raw_probabilities(mat: np.ndarray, rotation: np.ndarray = IDENTITY):
     """
     j, k = plane_indices(mat.shape[0])
     d = mat.diagonal().real
-    dj, dk = d[j], d[k]
+    h = d / 2.0  # halved before the sums, which then cannot overflow
+    hj, hk = h[j], h[k]
     off = mat[j, k]
-    t = np.array((off.real, -off.imag, (dj - dk) / 2.0))
-    p1, p2 = (dj + dk) / 2.0 + rotation[:, :2].T @ t
+    t = np.array((off.real, -off.imag, hj - hk))
+    p1, p2 = (hj + hk) + rotation[:, :2].T @ t
     r13, r23, r33 = rotation[:, 2].tolist()
     sup = mat.diagonal(1)
     p3 = d[:-1] * ((1.0 + r33) / 2.0) + d[1:] * ((1.0 - r33) / 2.0)
@@ -162,7 +163,8 @@ def clamp_probabilities(dim: int, raw):
     """Clip raw (p1, p2, p3) into [0, 1] and name the entries beyond PROB_TOL."""
     names = []
     flat = np.concatenate(raw)
-    if flat.min() < -PROB_TOL or flat.max() > 1.0 + PROB_TOL:
+    # min/max are NaN when any entry is, which fails both comparisons
+    if not (flat.min() >= -PROB_TOL and flat.max() <= 1.0 + PROB_TOL):
         names = _names_outside(dim, raw, -PROB_TOL, 1.0 + PROB_TOL)
     # adding 0.0 turns a -0.0 that clip lets through into 0.0
     flat = flat.clip(0.0, 1.0) + 0.0

@@ -5,9 +5,15 @@ Every probability extracted from a state carries a nonnegative binary
 relative entropy. Both suites run on a raw Hermitian array's
 MatrixProbabilities, derived once per array, so an audit can hand the same
 columns to every suite and flag out-of-range probabilities of near-states
-instead of silently clamping them. Each suite builds its rows as whole
+instead of silently clamping them; the wrappers taking a DensityMatrix keep
+the last state's MatrixProbabilities in a one-entry memo (states are
+immutable and hash by identity). Each suite builds its rows as whole
 columns; the logarithms and powers stay on Python floats (libm), so every
-row equals dichotomic_entropy / tsallis_relative of the clamped value.
+row equals dichotomic_entropy / tsallis_relative of the clamped value. For
+each q, MatrixProbabilities computes p^q, p^(1-q), (1-p)^q and (1-p)^(1-q)
+once, and every axis pair's Tsallis rows are sums of their products; a q
+whose powers leave float range (a zero base with q > 1, an overflow) takes
+tsallis_relative row by row.
 
 Conventions: natural logarithms, 0 ln 0 = 0, and 0^q x^(1-q) = 0 for
 q > 0. A zero in the reference distribution with q > 1 drives the Tsallis
@@ -19,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +109,19 @@ class MatrixProbabilities:
     raw: list[float]
     clamped: list[float]
     in_range: bool
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+
+    def powers(self, q: float):
+        """p^q, p^(1-q), (1-p)^q and (1-p)^(1-q) over clamped, once per q;
+        None if one leaves float range (0^(1-q) with q > 1, an overflow)."""
+        if q not in self._powers:
+            bases = (self.clamped, [1.0 - p for p in self.clamped])
+            try:
+                cols = tuple([x**e for x in xs] for xs in bases for e in (q, 1.0 - q))
+            except (ZeroDivisionError, OverflowError):
+                cols = None
+            self._powers[q] = cols
+        return self._powers[q]
 
 
 def matrix_probabilities(mat: np.ndarray) -> MatrixProbabilities:
@@ -114,23 +133,29 @@ def matrix_probabilities(mat: np.ndarray) -> MatrixProbabilities:
     return MatrixProbabilities(mat, raw.ravel().tolist(), clamped, in_range)
 
 
-@functools.lru_cache(maxsize=64)
-def _plane_labels(dim: int) -> tuple[str, ...]:
-    """The name label "j=J,k=K" of every plane, in lexicographic order."""
-    return tuple(f"j={p.j},k={p.k}" for p in planes(dim))
+@functools.lru_cache(maxsize=1)
+def _state_probabilities(rho: DensityMatrix) -> MatrixProbabilities:
+    """The probabilities of the state audited last, derived once for its suites."""
+    return matrix_probabilities(rho.entries)
+
+
+@functools.lru_cache(maxsize=256)
+def _row_names(dim: int, head: str, tails: tuple[str, ...]) -> tuple[str, ...]:
+    """Names "head(j=J,k=K" + tail, plane by plane, every tail within a plane."""
+    return tuple(f"{head}(j={p.j},k={p.k}{tail}" for p in planes(dim) for tail in tails)
 
 
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _positivity(names: list[str], values: list[float]) -> InequalityReport:
+def _positivity(names: tuple[str, ...], values: list[float]) -> InequalityReport:
     """Rows value >= 0, one per name."""
-    return InequalityReport(names, values, [0.0] * len(values), values[:])
+    return InequalityReport(list(names), values, [0.0] * len(values), values[:])
 
 
-def _checked_positivity(names: list[str], fn, *columns: list[float]) -> InequalityReport:
-    """Rows fn(clamped values) >= 0 per name, for columns that leave [0, 1].
+def _checked_positivity(names: tuple[str, ...], fn, *columns: list[float]) -> InequalityReport:
+    """Rows fn(clamped values) >= 0 per name, one fn call per row.
 
     A row whose raw value lies beyond PROB_TOL outside [0, 1] reports the
     first such value as its lhs, minus that distance as slack, and is named
@@ -170,8 +195,7 @@ def qubit_matrix_forms(off_diagonal: complex) -> tuple[float, float]:
 def vn_suite_from_matrix(probs: MatrixProbabilities) -> InequalityReport:
     """Binary-entropy positivity for every (plane, axis) probability."""
     mat = probs.matrix
-    axes = (",a=1)", ",a=2)", ",a=3)")
-    names = ["vn(" + label + axis for label in _plane_labels(mat.shape[0]) for axis in axes]
+    names = _row_names(mat.shape[0], "vn", (",a=1)", ",a=2)", ",a=3)"))
     if probs.in_range:
         report = _positivity(names, list(map(dichotomic_entropy, probs.clamped)))
     else:
@@ -185,7 +209,7 @@ def vn_suite_from_matrix(probs: MatrixProbabilities) -> InequalityReport:
 
 def vn_inequality_suite(rho: DensityMatrix) -> InequalityReport:
     """Entropy-positivity suite of a validated state."""
-    return vn_suite_from_matrix(matrix_probabilities(rho.entries))
+    return vn_suite_from_matrix(_state_probabilities(rho))
 
 
 def tsallis_suite_from_matrix(
@@ -195,20 +219,22 @@ def tsallis_suite_from_matrix(
     if a == b or a not in (1, 2, 3) or b not in (1, 2, 3):
         raise OutOfRange(f"axes must be distinct members of (1, 2, 3), got ({a}, {b})")
     q = params.q
-    suffix = f",a={a},b={b},q={q:g})"
-    names = ["tsallis(" + label + suffix for label in _plane_labels(probs.matrix.shape[0])]
-    if probs.in_range:
-        ua, ub = probs.clamped[a - 1 :: 3], probs.clamped[b - 1 :: 3]
-        return _positivity(names, list(map(tsallis_relative, ua, ub, [q] * len(names))))
-    xs, ys = probs.raw[a - 1 :: 3], probs.raw[b - 1 :: 3]
-    return _checked_positivity(names, functools.partial(tsallis_relative, q=q), xs, ys)
+    names = _row_names(probs.matrix.shape[0], "tsallis", (f",a={a},b={b},q={q:g})",))
+    cols = probs.powers(q) if probs.in_range else None
+    if cols is None:  # in range, every row is tsallis_relative of clamped values
+        xs, ys = probs.raw[a - 1 :: 3], probs.raw[b - 1 :: 3]
+        return _checked_positivity(names, functools.partial(tsallis_relative, q=q), xs, ys)
+    p_q, p_c, u_q, u_c = cols
+    den = q - 1.0
+    pairs = zip(p_q[a - 1 :: 3], p_c[b - 1 :: 3], u_q[a - 1 :: 3], u_c[b - 1 :: 3])
+    return _positivity(names, [(w * x + y * z - 1.0) / den for w, x, y, z in pairs])
 
 
 def tsallis_inequality(
     rho: DensityMatrix, a: int, b: int, params: EntropyParams
 ) -> InequalityReport:
     """Tsallis relative-entropy suite of a validated state."""
-    return tsallis_suite_from_matrix(matrix_probabilities(rho.entries), a, b, params)
+    return tsallis_suite_from_matrix(_state_probabilities(rho), a, b, params)
 
 
 def reduced_suite_from_matrix(

@@ -308,6 +308,12 @@ def test_rotated_table_diagonal_sum_unbounded():
     assert found
 
 
+def test_clamp_probabilities_names_nan():
+    raw = (np.array([0.5, np.nan, 0.5]), np.array([0.5, 0.5, 2.0]), np.array([np.nan, 0.5]))
+    _, names = dichoq.codec.clamp_probabilities(3, raw)
+    assert names == ["p1(1, 3)", "p2(2, 3)", "p3[1]"]
+
+
 def test_raw_probabilities_unclamped():
     mat = helpers.near_state_negative_eig()
     p1, _, _ = raw_probabilities(mat)

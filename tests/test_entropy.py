@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dichoq
-from dichoq import EntropyParams, Factorization, cli
+from dichoq import EntropyParams, Factorization, cli, entropy
+from dichoq.codec import raw_probabilities
 from dichoq.entropy import (
     matrix_probabilities,
     qubit_matrix_forms,
@@ -134,19 +135,66 @@ def _suite_rows(report):
     return [row for row in rows if row[0].startswith(("vn(", "tsallis("))]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 24, 32])
 def test_suite_columns_equal_scalar_oracle(dim):
     # the columns must be the scalar functions' floats, compared with ==
     rng = np.random.default_rng(100 + dim)
     basis = np.zeros((dim, dim), dtype=complex)
     basis[0, 0] = 1.0  # zeros and ones exercise 0 ln 0 and support loss
-    cases = [helpers.random_state_array(dim, rng), np.eye(dim) / dim, basis]
+    # 1 - 1e-300 rounds to 1, and (1e-300 / (dim - 1)) ** (1 - q) overflows for q > 1
+    tiny = np.diag([1 - 1e-300] + [1e-300 / (dim - 1)] * (dim - 1)).astype(complex)
+    random = helpers.random_state_array(dim, rng)
+    cases = [random, np.eye(dim) / dim, basis, tiny]
     if dim <= 4:  # p1 of plane (1, 2) at -1e-12: inside the tolerance, clamped to 0
         cases.append(helpers.near_state_negative_eig(dim, epsilon=1e-12))
     for mat in cases:
-        for q_values in (cli.DEFAULT_Q, (0.25, 1.5, 10.0)):
+        for q_values in (cli.DEFAULT_Q, (0.1, 0.25, 1.5, 10.0)):
             report = cli._audit_report(np.asarray(mat), None, q_values)
             assert _suite_rows(report) == helpers.audit_rows_oracle(mat, q_values)
+    # which q take the power columns and which the scalar fallback
+    for mat, q, columns in [(random, 0.1, True), (random, 10.0, True), (basis, 0.1, True),
+                            (basis, 1.5, False), (tiny, 0.5, True), (tiny, 10.0, False)]:
+        assert (matrix_probabilities(mat).powers(q) is not None) == columns
+
+
+def test_state_probabilities_derived_once_per_state(monkeypatch):
+    calls = []
+
+    def counting(mat, *args):
+        calls.append(mat.shape)
+        return raw_probabilities(mat, *args)
+
+    monkeypatch.setattr(entropy, "raw_probabilities", counting)
+    rng = np.random.default_rng(17)
+    first, second = (helpers.random_state(6, rng) for _ in range(2))
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+
+    def audit(state):
+        report = dichoq.vn_inequality_suite(state)
+        for a, b in pairs:
+            for q in cli.DEFAULT_Q:
+                report.extend(dichoq.tsallis_inequality(state, a, b, EntropyParams(q)))
+        return _suite_rows(report)
+
+    rows = audit(first)
+    assert calls == [(6, 6)]
+    assert rows == helpers.audit_rows_oracle(np.asarray(first), cli.DEFAULT_Q)
+    # suite by suite in alternation, each state keeps its own rows
+    calls.clear()
+    reports = {id(first): dichoq.vn_inequality_suite(first)}
+    reports[id(second)] = dichoq.vn_inequality_suite(second)
+    for a, b in pairs:
+        for q in cli.DEFAULT_Q:
+            for state in (first, second):
+                reports[id(state)].extend(
+                    dichoq.tsallis_inequality(state, a, b, EntropyParams(q))
+                )
+    for state in (first, second):
+        expected = helpers.audit_rows_oracle(np.asarray(state), cli.DEFAULT_Q)
+        assert _suite_rows(reports[id(state)]) == expected
+    # the memo holds one state: only the first call, on the state audited
+    # last, finds its probabilities there
+    assert len(calls) == 1 + 2 * len(pairs) * len(cli.DEFAULT_Q)
 
 
 def test_suite_columns_report_near_state_like_scalar_loop():
