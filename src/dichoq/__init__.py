@@ -11,7 +11,6 @@ from .codec import (
 from .entropy import (
     EntropyParams,
     dichotomic_entropy,
-    dichotomic_kl,
     reduced_state_inequalities,
     tsallis_inequality,
     tsallis_relative,
@@ -31,13 +30,7 @@ from .errors import (
     OutOfRange,
     TableInvariantError,
 )
-from .frames import (
-    PlaneIndex,
-    ProjectorFrame,
-    build_frame,
-    planes,
-    su2_generators,
-)
+from .frames import ProjectorFrame, build_frame
 from .genstates import PortableRng, random_mixed, random_product, random_pure
 from .matcore import (
     DensityMatrix,

@@ -27,7 +27,6 @@ from .errors import (
     OutOfRange,
     TableInvariantError,
 )
-from .frames import check_rotation
 from .report import InequalityReport
 
 EXIT_OK = 0
@@ -149,12 +148,12 @@ def _encode_unvalidated(mat: np.ndarray) -> tuple[codec.DichotomicTable, list[st
 
 def cmd_encode(args) -> int:
     m = _load_matrix(args.input)
-    rotation = None
+    frame = None
     if args.rotation is not None:
         payload = _load_json(args.rotation)
         try:
             rows = [[matcore.json_number(v) for v in row] for row in payload]
-            rotation = check_rotation(rows)
+            frame = codec.build_frame(m.dim, rows)
         except (TypeError, OverflowError, DichoqError) as exc:
             raise CliError(EXIT_USAGE, f"bad rotation: {exc}") from exc
 
@@ -168,10 +167,9 @@ def cmd_encode(args) -> int:
         warning = str(exc)
 
     if state is not None:
-        frame = codec.build_frame(m.dim, rotation)
         table = codec.encode(state, frame)
     else:
-        if rotation is not None:
+        if frame is not None:
             raise CliError(EXIT_USAGE, "--rotation requires a valid state")
         table, clamped = _encode_unvalidated(m.entries)
         if clamped:
@@ -350,7 +348,8 @@ def main(argv=None) -> int:
         # parse errors and uses 4 for usage
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # an overflow leaves an inf that a range check names
+            return args.func(args)
     except CliError as exc:
         print(f"dichoq: {exc}", file=sys.stderr)
         return exc.code

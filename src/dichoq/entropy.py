@@ -31,7 +31,7 @@ import numpy as np
 
 from .codec import PROB_TOL, raw_probabilities
 from .errors import BadFactorization, OutOfRange
-from .frames import plane_indices, planes
+from .frames import plane_indices
 from .matcore import DensityMatrix
 from .reduction import Factorization, block_decompose
 from .report import InequalityReport
@@ -58,18 +58,6 @@ def dichotomic_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
-
-
-def dichotomic_kl(p: float, r: float) -> float:
-    """KL divergence between (p, 1-p) and (r, 1-r); +inf on support loss."""
-    total = 0.0
-    for a, b in ((p, r), (1.0 - p, 1.0 - r)):
-        if a == 0.0:
-            continue
-        if b == 0.0:
-            return math.inf
-        total += a * math.log(a / b)
-    return total
 
 
 def tsallis_relative(p: float, r: float, q: float) -> float:
@@ -142,7 +130,8 @@ def _state_probabilities(rho: DensityMatrix) -> MatrixProbabilities:
 @functools.lru_cache(maxsize=256)
 def _row_names(dim: int, head: str, tails: tuple[str, ...]) -> tuple[str, ...]:
     """Names "head(j=J,k=K" + tail, plane by plane, every tail within a plane."""
-    return tuple(f"{head}(j={p.j},k={p.k}{tail}" for p in planes(dim) for tail in tails)
+    j, k = (idx.tolist() for idx in plane_indices(dim))
+    return tuple(f"{head}(j={a + 1},k={b + 1}{tail}" for a, b in zip(j, k) for tail in tails)
 
 
 def _clamp(value: float) -> float:

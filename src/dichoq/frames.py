@@ -1,78 +1,37 @@
-"""Plane-indexed su(2) generators and rank-one projector frames.
+"""Measurement frames: one SO(3) rotation shared by every two-level plane.
 
-For an N-level system, every index pair (j, k) with j < k spans a
-two-dimensional plane carrying Pauli-like generators S_0..S_3. Adding S_a
-to S_0 gives the rank-one projector onto the +1/2 eigenvector of S_a; the
-family of those projectors over all planes and axes a in {1, 2, 3} is the
-measurement frame the dichotomic codec evaluates against. A rotated frame
-mixes the axis triple of every plane by one SO(3) matrix R, so its axis-a
-projector is S_0 + sum_b R[b, a] S_b. A frame is only its dimension and
-rotation; the codec evaluates it in closed form, and the dense projectors
-are built on request.
+For an N-level system every index pair (j, k) with j < k spans a
+two-level plane carrying su(2) generators S_0..S_3 (half the Pauli
+matrices, written into rows and columns j and k). The dichotomic
+probability of axis a is Tr(rho P) with the rank-one projector
+P = S_0 + S_a; a rotated frame mixes every plane's axis triple by one
+SO(3) matrix R, so its axis-a projector is S_0 + sum_b R[b, a] S_b. The
+codec evaluates Tr(rho P) in closed form from each plane's 2x2 block, so a
+frame is only its dimension and rotation, and no projector is ever built.
+Planes are ordered lexicographically, as np.triu_indices(N, 1) lists them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthogonal, NotSpecial
 
 ORTHO_TOL = 1e-12
-AXES = (1, 2, 3)
 IDENTITY = np.eye(3)
 IDENTITY.setflags(write=False)
 _NUMBERS = (int, float, np.integer, np.floating)
 
 
-@dataclass(frozen=True, order=True)
-class PlaneIndex:
-    """Ordered index pair 1 <= j < k <= N selecting a two-level plane."""
-
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if not (1 <= self.j < self.k):
-            raise DimensionMismatch(f"plane needs 1 <= j < k, got ({self.j}, {self.k})")
-
-
-def planes(dim: int) -> list[PlaneIndex]:
-    """All planes of an N-level system in lexicographic order."""
-    return [PlaneIndex(j, k) for j in range(1, dim) for k in range(j + 1, dim + 1)]
-
-
 @functools.lru_cache(maxsize=64)
 def plane_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based row and column arrays of the planes, in the order of planes()."""
+    """0-based row and column arrays of the planes (j, k), j < k, in lexicographic order."""
     j, k = np.triu_indices(dim, 1)
     j.setflags(write=False)
     k.setflags(write=False)
     return j, k
-
-
-def su2_generators(dim: int, plane: PlaneIndex):
-    """The four Hermitian generators (S0, S1, S2, S3) acting in a plane.
-
-    S1, S2, S3 each have eigenvalues +1/2, -1/2 and zeros elsewhere; they
-    are pairwise orthogonal under Tr(A^dag B) with common norm 1/sqrt(2).
-    """
-    if plane.k > dim:
-        raise DimensionMismatch(f"plane {plane} exceeds dim {dim}")
-    j, k = plane.j - 1, plane.k - 1
-    s0 = np.zeros((dim, dim), dtype=np.complex128)
-    s1 = np.zeros((dim, dim), dtype=np.complex128)
-    s2 = np.zeros((dim, dim), dtype=np.complex128)
-    s3 = np.zeros((dim, dim), dtype=np.complex128)
-    s0[j, j] = s0[k, k] = 0.5
-    s1[j, k] = s1[k, j] = 0.5
-    s2[j, k] = -0.5j
-    s2[k, j] = 0.5j
-    s3[j, j] = 0.5
-    s3[k, k] = -0.5
-    return s0, s1, s2, s3
 
 
 def check_rotation(rotation) -> np.ndarray:
@@ -96,9 +55,11 @@ def check_rotation(rotation) -> np.ndarray:
 class ProjectorFrame:
     """The frame of one dimension and one rotation, stored as just those two.
 
-    The codec evaluates frames in closed form; `projector` and `items`
-    build the dense rank-one projectors on request, as the definition and
-    as a test oracle. Identity-frame axis-3 projectors are E_jj for every k.
+    encode reads only `rotation` (read-only; IDENTITY when None). The
+    benchmark's tracer (bench/tracing.py) wraps `frames.build_frame`,
+    `codec.build_frame` and `ProjectorFrame.__init__` by name, so the class
+    and `build_frame` stay until the tracer stops wrapping them; only then can
+    encode take a checked rotation directly.
     """
 
     def __init__(self, dim: int, rotation=None):
@@ -112,24 +73,6 @@ class ProjectorFrame:
             rot.setflags(write=False)
         self.dim = dim
         self.rotation = rot
-
-    @property
-    def planes(self) -> list[PlaneIndex]:
-        return planes(self.dim)
-
-    def projector(self, plane: PlaneIndex, axis: int) -> np.ndarray:
-        """S_0 + sum_b R[b, axis] S_b: the rotated axis' +1/2 projector."""
-        if axis not in AXES:
-            raise DimensionMismatch(f"axis must be in {AXES}, got {axis}")
-        s0, *gens = su2_generators(self.dim, plane)
-        proj = s0 + sum(self.rotation[b, axis - 1] * gens[b] for b in range(3))
-        proj.setflags(write=False)
-        return proj
-
-    def items(self):
-        for plane in self.planes:
-            for a in AXES:
-                yield plane, a, self.projector(plane, a)
 
 
 def build_frame(dim: int, rotation=None) -> ProjectorFrame:

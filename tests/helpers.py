@@ -12,8 +12,10 @@ spectra. The oracles are:
     (tsallis_oracle);
   * audit rows: the scalar entropy functions one probability at a time
     (audit_rows_oracle);
-  * frame probabilities: literal traces against every projector
-    (encode_by_trace);
+  * frames: planes as plain loops (planes), projectors written from
+    literal Pauli matrices (frame_projector) and probabilities as literal
+    traces against every projector (encode_by_trace), with nothing from
+    dichoq.frames or dichoq.codec;
   * SU(2) lifts of rotations: scipy's quaternions (su2_lift, embed_plane);
   * two-level spectra: the determinant closed form
     (two_level_spectrum_from_det).
@@ -52,6 +54,39 @@ def random_rotation(rng):
     return Rotation.random(rng=rng).as_matrix()
 
 
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def planes(dim):
+    """The planes (j, k), 1 <= j < k <= dim, in lexicographic order."""
+    return [(j, k) for j in range(1, dim) for k in range(j + 1, dim + 1)]
+
+
+def frame_projector(dim, plane, axis, rotation):
+    """(sigma_0 + sum_b R[b, axis] sigma_b) / 2 written into plane (j, k) of zeros."""
+    block = (PAULI[0] + sum(rotation[b, axis - 1] * PAULI[b + 1] for b in range(3))) / 2
+    proj = np.zeros((dim, dim), dtype=complex)
+    idx = [plane[0] - 1, plane[1] - 1]
+    proj[np.ix_(idx, idx)] = block
+    return proj
+
+
+def encode_by_trace(state, rotation):
+    """p = Tr(rho P) evaluated literally against every projector, keyed (j, k, axis)."""
+    mat = np.asarray(state)
+    dim = mat.shape[0]
+    return {
+        (j, k, a): float(np.trace(mat @ frame_projector(dim, (j, k), a, rotation)).real)
+        for j, k in planes(dim)
+        for a in (1, 2, 3)
+    }
+
+
 def su2_lift(rotation):
     """The 2x2 unitary U with U sigma_a U^dag = sum_b R[b, a] sigma_b.
 
@@ -65,7 +100,7 @@ def su2_lift(rotation):
 def embed_plane(dim, plane, u2):
     """The N x N identity with a 2x2 unitary written into plane (j, k)."""
     u = np.eye(dim, dtype=complex)
-    idx = [plane.j - 1, plane.k - 1]
+    idx = [plane[0] - 1, plane[1] - 1]
     u[np.ix_(idx, idx)] = u2
     return u
 
@@ -239,15 +274,6 @@ def audit_rows_oracle(mat, q_values):
                     t = dichoq.tsallis_relative(clamp(x), clamp(y), q)
                     rows.append((name, t, 0.0, t))
     return rows
-
-
-def encode_by_trace(state, frame):
-    """p = Tr(rho P) evaluated literally against every frame projector."""
-    mat = np.asarray(state)
-    values = {}
-    for plane, axis, proj in frame.items():
-        values[(plane.j, plane.k, axis)] = float(np.trace(mat @ proj).real)
-    return values
 
 
 # ---------------------------------------------------------------------------

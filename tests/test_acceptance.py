@@ -121,13 +121,13 @@ def test_criterion_5_entropic_suites():
                 for check in dichoq.vn_inequality_suite(state).checks:
                     assert check.slack >= -1e-10
                 p1, p2, p3 = raw_probabilities(np.asarray(state))
-                for i, plane in enumerate(dichoq.planes(dim)):
+                for i, (j, _) in enumerate(helpers.planes(dim)):
                     for a in (1, 2, 3):
                         for b in (1, 2, 3):
                             if a == b:
                                 continue
-                            pa = _axis_probability(p1, p2, p3, i, plane.j, a)
-                            pb = _axis_probability(p1, p2, p3, i, plane.j, b)
+                            pa = _axis_probability(p1, p2, p3, i, j, a)
+                            pb = _axis_probability(p1, p2, p3, i, j, b)
                             for q in q_grid:
                                 value = tsallis_relative(
                                     min(1.0, max(0.0, pa)),
@@ -144,21 +144,20 @@ def test_criterion_6_rotation_covariance():
     with criterion(6, "rotated tables equal plane-wise encodings of U^dag rho U"):
         rng = np.random.default_rng(987)
         for dim in (2, 3, 4):
-            base = dichoq.build_frame(dim)
             for i in range(100):
                 state = dichoq.random_mixed(dim, 70_000 + 100 * dim + i)
                 rot = helpers.random_rotation(rng)
                 table = dichoq.rotate_table(state, rot)
                 u2 = helpers.su2_lift(rot)
                 mat = np.asarray(state)
-                for i, plane in enumerate(base.planes):
+                for i, plane in enumerate(helpers.planes(dim)):
                     u = helpers.embed_plane(dim, plane, u2)
                     conj = u.conj().T @ mat @ u
-                    j, k = plane.j - 1, plane.k - 1
+                    j, k = plane[0] - 1, plane[1] - 1
                     half = 0.5 * (conj[j, j].real + conj[k, k].real)
                     assert abs(table.p1[i] - (half + conj[j, k].real)) < 1e-10
                     assert abs(table.p2[i] - (half - conj[j, k].imag)) < 1e-10
-                    if plane.k == plane.j + 1:
+                    if k == j + 1:
                         assert abs(table.p3[j] - conj[j, j].real) < 1e-10
 
 

@@ -441,21 +441,27 @@ def test_entries_near_float_max_fail_validation(tmp_path, capsys):
 
 
 def test_unvalidated_entries_near_float_max(tmp_path, capsys):
-    # the diagonal is halved before the plane sums, so p1 and p2 stay
-    # finite and the table is clamped like any other failed state
-    huge = {"dim": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [-1e308, 0]]}
-    inp = write_raw(tmp_path / "huge.json", huge)
-    table = tmp_path / "table.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli("encode", "--no-validate", "--input", str(inp), "--output", str(table)) == 0
-        assert run_cli("audit", "--no-validate", "--input", str(inp),
-                       "--output", str(tmp_path / "report.json")) == 5
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
-    payload = json.loads(table.read_text())
-    assert payload["warning"] == "trace 0.0 is not 1 within tolerance; clamped: p3[1]"
-    assert (payload["p3"], payload["planes"]) == ([1.0], [{"j": 1, "k": 2, "p1": 0.0, "p2": 0.0}])
+    # the diagonal is halved before the plane sums, so p1 and p2 of the
+    # +-1e308 matrix stay finite; those of the all-1e308 matrix overflow to
+    # inf, which the range checks name without numpy warnings. Both tables
+    # are clamped like any other failed state.
+    cases = [
+        ([[1e308, 0], [0, 0], [0, 0], [-1e308, 0]], "trace 0.0", "p3[1]", 0.0),
+        ([[1e308, 0]] * 4, "trace inf", "p1(1, 2), p2(1, 2), p3[1]", 1.0),
+    ]
+    for entries, trace, clamped, p in cases:
+        inp = write_raw(tmp_path / "huge.json", {"dim": 2, "entries": entries})
+        table = tmp_path / "table.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("encode", "--no-validate", "--input", str(inp), "--output", str(table)) == 0
+            assert run_cli("audit", "--no-validate", "--input", str(inp),
+                           "--output", str(tmp_path / "report.json")) == 5
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        payload = json.loads(table.read_text())
+        assert payload["warning"] == f"{trace} is not 1 within tolerance; clamped: {clamped}"
+        assert (payload["p3"], payload["planes"]) == ([1.0], [{"j": 1, "k": 2, "p1": p, "p2": p}])
 
 
 def test_audit_reference_probability_below_power_range(tmp_path, capsys):

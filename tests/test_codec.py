@@ -23,7 +23,7 @@ def table_entry(table, j, k, axis):
     """Probability of plane (j, k) (1-based) on an axis; p3 is keyed by row j."""
     if axis == 3:
         return table.p3[j - 1]
-    position = [(p.j, p.k) for p in dichoq.planes(table.dim)].index((j, k))
+    position = helpers.planes(table.dim).index((j, k))
     return (table.p1 if axis == 1 else table.p2)[position]
 
 
@@ -56,8 +56,8 @@ def test_encode_diagonal_qutrit():
     t = dichoq.encode(state)
     assert t.p3[0] == pytest.approx(0.5)
     assert t.p3[1] == pytest.approx(1 / 3)
-    for i, plane in enumerate(dichoq.planes(3)):
-        half = (t.diagonal()[plane.j - 1] + t.diagonal()[plane.k - 1]) / 2
+    for i, (j, k) in enumerate(helpers.planes(3)):
+        half = (t.diagonal()[j - 1] + t.diagonal()[k - 1]) / 2
         assert t.p1[i] == pytest.approx(half)
         assert t.p2[i] == pytest.approx(half)
     assert t.p1[0] == pytest.approx(5 / 12)
@@ -70,13 +70,12 @@ def test_encode_dimension_mismatch():
 
 
 def test_encode_matches_trace_oracle():
-    # closed-form probabilities vs literal Tr(rho P) against the frame
+    # closed-form probabilities vs literal Tr(rho P) against the Pauli-built projectors
     rng = np.random.default_rng(42)
     for dim in (2, 3, 4, 5):
-        frame = dichoq.build_frame(dim)
         state = helpers.random_state(dim, rng)
         t = dichoq.encode(state)
-        oracle = helpers.encode_by_trace(state, frame)
+        oracle = helpers.encode_by_trace(state, np.eye(3))
         for (j, k, a), expected in oracle.items():
             assert table_entry(t, j, k, a) == pytest.approx(expected, abs=1e-12)
 
@@ -89,7 +88,7 @@ def test_rotate_table_matches_trace_oracle(dim):
     for _ in range(10):
         rot = helpers.random_rotation(rng)
         t = dichoq.rotate_table(state, rot)
-        oracle = helpers.encode_by_trace(state, dichoq.build_frame(dim, rot))
+        oracle = helpers.encode_by_trace(state, rot)
         for (j, k, a), expected in oracle.items():
             if a == 3 and k != j + 1:
                 continue  # a rotated table keeps row j's p3 from plane (j, j+1)
@@ -181,10 +180,10 @@ def test_auxiliary_qubit_formula():
         t = dichoq.encode(state)
         diag = t.diagonal()
         entries = dichoq.decode(t).entries
-        for i, plane in enumerate(dichoq.planes(3)):
-            s = diag[plane.j - 1] + diag[plane.k - 1]
+        for i, (j, k) in enumerate(helpers.planes(3)):
+            s = diag[j - 1] + diag[k - 1]
             expected = (t.p1[i] - s / 2) - 1j * (t.p2[i] - s / 2)
-            got = entries[plane.j - 1, plane.k - 1]
+            got = entries[j - 1, k - 1]
             assert got == pytest.approx(expected, abs=1e-13)
             assert abs(got) <= 0.5
 
@@ -247,16 +246,16 @@ def test_rotation_law_both_sides(dim):
         rot = helpers.random_rotation(rng)
         table = dichoq.rotate_table(state, rot)
         u2 = helpers.su2_lift(rot)
-        base = dichoq.build_frame(dim)
         mat = np.asarray(state)
-        for plane in base.planes:
-            u = helpers.embed_plane(dim, plane, u2)
+        for j, k in helpers.planes(dim):
+            u = helpers.embed_plane(dim, (j, k), u2)
             conjugated = u.conj().T @ mat @ u
             for a in (1, 2, 3):
-                if a == 3 and plane.k != plane.j + 1:
+                if a == 3 and k != j + 1:
                     continue
-                expected = float(np.trace(conjugated @ base.projector(plane, a)).real)
-                got = table_entry(table, plane.j, plane.k, a)
+                proj = helpers.frame_projector(dim, (j, k), a, np.eye(3))
+                expected = float(np.trace(conjugated @ proj).real)
+                got = table_entry(table, j, k, a)
                 assert got == pytest.approx(expected, abs=1e-10)
 
 

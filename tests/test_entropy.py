@@ -255,17 +255,6 @@ def test_tsallis_against_oracle():
             )
 
 
-def test_dichotomic_kl_against_oracle():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        p = float(rng.uniform(0.0, 1.0))
-        r = float(rng.uniform(0.01, 0.99))
-        assert dichoq.dichotomic_kl(p, r) == pytest.approx(helpers.kl_oracle(p, r), abs=1e-12)
-    # endpoints: 0 ln 0 = 0, and support loss diverges like scipy's rel_entr
-    for p, r in ((0.0, 0.3), (1.0, 0.3), (0.4, 0.4), (0.5, 0.0), (0.5, 1.0)):
-        assert dichoq.dichotomic_kl(p, r) == pytest.approx(helpers.kl_oracle(p, r), abs=1e-12)
-
-
 def test_tsallis_zero_support_is_satisfied_at_infinity():
     assert tsallis_relative(0.5, 0.0, 2.0) == math.inf
     assert tsallis_relative(0.5, 1.0, 2.0) == math.inf

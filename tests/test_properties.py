@@ -1,5 +1,6 @@
 """Property tests: the CLI's exit-code contract on fuzzed JSON, the codec
-roundtrip, and the audit writer against the stdlib JSON encoder.
+roundtrip and clamp, the partial traces against index loops, and the audit
+writer against the stdlib JSON encoder.
 
 Payloads start valid (a state, a table, a rotation) and lose at most one
 value, at any depth, to an arbitrary JSON value: a string, a boolean,
@@ -19,10 +20,14 @@ from scipy.spatial.transform import Rotation
 
 import dichoq
 from dichoq import cli
+from dichoq.codec import clamp_probabilities
 from dichoq.report import InequalityReport
+
+import helpers
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FUZZ = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+FEW = settings(derandomize=True, database=None, max_examples=20, deadline=None)
 
 scalars = st.one_of(
     st.none(),
@@ -148,6 +153,51 @@ def test_encode_decode_roundtrip(rho):
     state = dichoq.validate_density(dichoq.make_hermitian(len(rho), rho))
     decoded = dichoq.decode(dichoq.encode(state))
     assert np.abs(decoded.entries - rho).max() < 1e-12
+
+
+@st.composite
+def raw_tables(draw):
+    """Unclamped (p1, p2, p3) of an N-level table: any non-NaN float, -0.0 and inf included."""
+    n = draw(st.integers(2, 5))
+    values = st.floats(allow_nan=False)
+    planes = n * (n - 1) // 2
+    return n, tuple(
+        np.array(draw(st.lists(values, min_size=size, max_size=size)))
+        for size in (planes, planes, n - 1)
+    )
+
+
+@FEW
+@given(raw_tables())
+def test_clamp_probabilities_is_idempotent(case):
+    n, raw = case
+    once, _ = clamp_probabilities(n, raw)
+    twice, names = clamp_probabilities(n, once)
+    assert names == []
+    assert [a.tobytes() for a in twice] == [a.tobytes() for a in once]
+
+
+@st.composite
+def composite_states(draw):
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rho = draw(states(st.just(n * m)))
+    return dichoq.Factorization(n * m, n, m), rho
+
+
+@FEW
+@given(composite_states())
+def test_reductions_match_index_loops(case):
+    f, rho = case
+    state = dichoq.validate_density(dichoq.make_hermitian(f.N, rho))
+    mat = np.asarray(state)
+    t1, t2 = dichoq.reduce_swapped(state, f)
+    for got, oracle in (
+        (dichoq.reduce_rho1(state, f), helpers.oracle_rho1),
+        (dichoq.reduce_rho2(state, f), helpers.oracle_rho2),
+        (t1, helpers.oracle_rho1_tilde),
+        (t2, helpers.oracle_rho2_tilde),
+    ):
+        assert np.abs(np.asarray(got) - oracle(mat, f.n, f.m)).max() < 1e-13
 
 
 # any float (inf, -inf, NaN, -0.0 and subnormals included) and any text
