@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         # parse errors and uses 4 for usage
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        with np.errstate(over="ignore"):  # an overflow leaves an inf that a range check names
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN left fails a check
             return args.func(args)
     except CliError as exc:
         print(f"dichoq: {exc}", file=sys.stderr)

@@ -8,12 +8,12 @@ columns to every suite and flag out-of-range probabilities of near-states
 instead of silently clamping them; the wrappers taking a DensityMatrix keep
 the last state's MatrixProbabilities in a one-entry memo (states are
 immutable and hash by identity). Each suite builds its rows as whole
-columns; the logarithms and powers stay on Python floats (libm), so every
-row equals dichotomic_entropy / tsallis_relative of the clamped value. For
-each q, MatrixProbabilities computes p^q, p^(1-q), (1-p)^q and (1-p)^(1-q)
-once, and every axis pair's Tsallis rows are sums of their products; a q
-whose powers leave float range (a zero base with q > 1, an overflow) takes
-tsallis_relative row by row.
+columns: pow and log, which numpy may round apart from libm, run on Python
+floats once per distinct probability and exponent, and the correctly rounded
++ - * / in numpy, so every row is dichotomic_entropy / tsallis_relative of
+the clamped value bit for bit. A q's Tsallis rows are one grid of products
+of p^q, p^(1-q), (1-p)^q, (1-p)^(1-q), or tsallis_relative's where those
+leave float range.
 
 Conventions: natural logarithms, 0 ln 0 = 0, and 0^q x^(1-q) = 0 for
 q > 0. A zero in the reference distribution with q > 1 drives the Tsallis
@@ -26,6 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -82,43 +83,69 @@ def tsallis_relative(p: float, r: float, q: float) -> float:
     return (moment - 1.0) / (q - 1.0)
 
 
+def _libm(fn, xs: np.ndarray, *args: float) -> np.ndarray:
+    """fn(x, *args) per entry of xs on Python floats, so libm rounds it."""
+    return np.fromiter(map(fn, xs.tolist(), *map(repeat, args)), float, len(xs))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixProbabilities:
     """A Hermitian array and its dichotomic probabilities, derived once.
 
-    raw and clamped (clipped into [0, 1]) hold Python floats plane by plane
-    in lexicographic order, axes 1, 2, 3 within a plane (axis 3 of plane
-    (j, k) is row j's), so raw[a - 1::3] is axis a's column. in_range says
-    no value lies beyond PROB_TOL outside [0, 1] and none is NaN, the one
-    value that clipping and the scalar clamp (NaN to 0) treat apart.
+    values is concatenate((p1, p2, p3)) clipped into [0, 1]; values[index]
+    is the (planes, 3) grid of axes 1, 2, 3 (axis 3 of plane (j, k) is row
+    j's p3), and raw that grid unclamped and flat, so raw[a - 1::3] is axis
+    a's column. in_range says no value lies beyond PROB_TOL outside [0, 1]
+    and none is NaN, which clipping and the scalar clamp treat apart.
     """
 
     matrix: np.ndarray
     raw: list[float]
-    clamped: list[float]
+    values: np.ndarray
+    index: np.ndarray
     in_range: bool
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def powers(self, q: float):
-        """p^q, p^(1-q), (1-p)^q and (1-p)^(1-q) over clamped, once per q;
-        None if one leaves float range (0^(1-q) with q > 1, an overflow)."""
-        if q not in self._powers:
-            bases = (self.clamped, [1.0 - p for p in self.clamped])
+    def _power(self, base: int, e: float) -> np.ndarray:
+        """(3, planes) p^e (base 0) or (1-p)^e (base 1) per axis, once per (base, e)."""
+        if (base, e) not in self._memo:
+            xs = 1.0 - self.values if base else self.values
+            self._memo[base, e] = _libm(math.pow, xs, e)[self.index.T]
+        return self._memo[base, e]
+
+    def tsallis_grid(self, q: float) -> np.ndarray | None:
+        """Tsallis rows of axes a, b at [a - 1, b - 1], once per q; None off float range."""
+        if q not in self._memo:
             try:
-                cols = tuple([x**e for x in xs] for xs in bases for e in (q, 1.0 - q))
-            except (ZeroDivisionError, OverflowError):
-                cols = None
-            self._powers[q] = cols
-        return self._powers[q]
+                p_q, p_c, u_q, u_c = [self._power(b, e) for b in (0, 1) for e in (q, 1.0 - q)]
+                with np.errstate(over="ignore"):  # overflow gives inf, as on Python floats
+                    self._memo[q] = (p_q[:, None] * p_c + u_q[:, None] * u_c - 1.0) / (q - 1.0)
+            except (ValueError, OverflowError):  # math.pow left float range
+                self._memo[q] = None
+        return self._memo[q]
+
+    def entropies(self) -> list[float]:
+        """dichotomic_entropy over the grid, one log of p and of 1 - p per interior value."""
+        inner = (self.values > 0.0) & (self.values < 1.0)
+        p, h = self.values[inner], np.zeros(len(self.values))  # h is +0.0 at the endpoints
+        h[inner] = -(p * _libm(math.log, p) + (1.0 - p) * _libm(math.log, 1.0 - p))
+        return h[self.index].ravel().tolist()
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_index(dim: int) -> np.ndarray:
+    j = plane_indices(dim)[0]
+    index = np.stack((np.arange(len(j)), np.arange(len(j), 2 * len(j)), j + 2 * len(j)), axis=1)
+    index.setflags(write=False)
+    return index
 
 
 def matrix_probabilities(mat: np.ndarray) -> MatrixProbabilities:
     """Derive every probability of a Hermitian array once, for all the suites."""
-    p1, p2, p3 = raw_probabilities(mat)
-    raw = np.stack((p1, p2, p3[plane_indices(mat.shape[0])[0]]), axis=1)
-    in_range = bool((np.maximum(-raw, raw - 1.0) <= PROB_TOL).all())
-    clamped = raw.clip(0.0, 1.0).ravel().tolist()
-    return MatrixProbabilities(mat, raw.ravel().tolist(), clamped, in_range)
+    p = np.concatenate(raw_probabilities(mat))
+    in_range = bool((np.maximum(-p, p - 1.0) <= PROB_TOL).all())
+    index = _grid_index(mat.shape[0])
+    return MatrixProbabilities(mat, p[index].ravel().tolist(), p.clip(0.0, 1.0), index, in_range)
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,7 +213,7 @@ def vn_suite_from_matrix(probs: MatrixProbabilities) -> InequalityReport:
     mat = probs.matrix
     names = _row_names(mat.shape[0], "vn", (",a=1)", ",a=2)", ",a=3)"))
     if probs.in_range:
-        report = _positivity(names, list(map(dichotomic_entropy, probs.clamped)))
+        report = _positivity(names, probs.entropies())
     else:
         report = _checked_positivity(names, dichotomic_entropy, probs.raw)
     if mat.shape[0] == 2:
@@ -209,14 +236,11 @@ def tsallis_suite_from_matrix(
         raise OutOfRange(f"axes must be distinct members of (1, 2, 3), got ({a}, {b})")
     q = params.q
     names = _row_names(probs.matrix.shape[0], "tsallis", (f",a={a},b={b},q={q:g})",))
-    cols = probs.powers(q) if probs.in_range else None
-    if cols is None:  # in range, every row is tsallis_relative of clamped values
+    grid = probs.tsallis_grid(q) if probs.in_range else None
+    if grid is None:  # in range, every row is tsallis_relative of clamped values
         xs, ys = probs.raw[a - 1 :: 3], probs.raw[b - 1 :: 3]
         return _checked_positivity(names, functools.partial(tsallis_relative, q=q), xs, ys)
-    p_q, p_c, u_q, u_c = cols
-    den = q - 1.0
-    pairs = zip(p_q[a - 1 :: 3], p_c[b - 1 :: 3], u_q[a - 1 :: 3], u_c[b - 1 :: 3])
-    return _positivity(names, [(w * x + y * z - 1.0) / den for w, x, y, z in pairs])
+    return _positivity(names, grid[a - 1, b - 1].tolist())
 
 
 def tsallis_inequality(

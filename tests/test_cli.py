@@ -462,6 +462,15 @@ def test_unvalidated_entries_near_float_max(tmp_path, capsys):
         payload = json.loads(table.read_text())
         assert payload["warning"] == f"{trace} is not 1 within tolerance; clamped: {clamped}"
         assert (payload["p3"], payload["planes"]) == ([1.0], [{"j": 1, "k": 2, "p1": p, "p2": p}])
+    # the block traces of an all-1e308 4x4 matrix overflow, and the
+    # determinant bounds subtract inf from inf: NaN slacks fail, silently
+    inp = write_raw(tmp_path / "huge4.json", {"dim": 4, "entries": [[1e308, 0]] * 16})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("audit", "--no-validate", "--factor", "2,2", "--input", str(inp),
+                       "--output", str(tmp_path / "report.json")) == 5
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_audit_reference_probability_below_power_range(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,26 +137,83 @@ def _suite_rows(report):
     return [row for row in rows if row[0].startswith(("vn(", "tsallis("))]
 
 
+def _row_bytes(rows):
+    # repr tells -0.0 from 0.0 and every last bit apart
+    return [(name, repr(lhs), repr(bound), repr(slack)) for name, lhs, bound, slack in rows]
+
+
+# p1 = 1 - 2**-53 and p3 = 5e-324 in its plane: at q = 1.9534 the scalar
+# Tsallis value of axis 1 against axis 3 overflows to inf on Python floats
+OVERFLOW = np.array([[5e-324, 0.5 - 2**-53], [0.5 - 2**-53, 1.0]], dtype=complex)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 24, 32])
 def test_suite_columns_equal_scalar_oracle(dim):
-    # the columns must be the scalar functions' floats, compared with ==
+    # the columns must be the scalar functions' floats, compared by repr
     rng = np.random.default_rng(100 + dim)
     basis = np.zeros((dim, dim), dtype=complex)
     basis[0, 0] = 1.0  # zeros and ones exercise 0 ln 0 and support loss
     # 1 - 1e-300 rounds to 1, and (1e-300 / (dim - 1)) ** (1 - q) overflows for q > 1
     tiny = np.diag([1 - 1e-300] + [1e-300 / (dim - 1)] * (dim - 1)).astype(complex)
     random = helpers.random_state_array(dim, rng)
-    cases = [random, np.eye(dim) / dim, basis, tiny]
+    # the other rows hold 1/4: no probability is 0 or 1, so no q need leave
+    # the power columns for the scalar fallback (p3 of row N is never used)
+    pad = [0.25] * (dim - 2)
+    subnormal = np.diag([3e-310, 0.5] + pad).astype(complex)  # p3 of row 1
+    near_one = np.diag([1.0 - 2**-53, 2**-53] + pad).astype(complex)  # p3 of row 1
+    overflow = np.diag(pad + [0.0, 0.0]).astype(complex)
+    overflow[-2:, -2:] = OVERFLOW  # in plane (N - 1, N)
+    cases = [random, np.eye(dim) / dim, basis, tiny, subnormal, near_one, overflow]
     if dim <= 4:  # p1 of plane (1, 2) at -1e-12: inside the tolerance, clamped to 0
         cases.append(helpers.near_state_negative_eig(dim, epsilon=1e-12))
     for mat in cases:
-        for q_values in (cli.DEFAULT_Q, (0.1, 0.25, 1.5, 10.0)):
-            report = cli._audit_report(np.asarray(mat), None, q_values)
-            assert _suite_rows(report) == helpers.audit_rows_oracle(mat, q_values)
-    # which q take the power columns and which the scalar fallback
+        for q_values in (cli.DEFAULT_Q, (0.1, 0.25, 1.5, 10.0), (1.9534,)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = cli._audit_report(np.asarray(mat), None, q_values)
+            expected = helpers.audit_rows_oracle(mat, q_values)
+            assert _row_bytes(_suite_rows(report)) == _row_bytes(expected)
+    assert tsallis_relative(1.0 - 2**-53, 5e-324, 1.9534) == math.inf
+    report = cli._audit_report(overflow, None, (1.9534,))
+    assert report[f"tsallis(j={dim - 1},k={dim},a=1,b=3,q=1.9534)"].lhs == math.inf
+    # which q take the grid of power columns and which the scalar fallback
     for mat, q, columns in [(random, 0.1, True), (random, 10.0, True), (basis, 0.1, True),
-                            (basis, 1.5, False), (tiny, 0.5, True), (tiny, 10.0, False)]:
-        assert (matrix_probabilities(mat).powers(q) is not None) == columns
+                            (basis, 1.5, False), (tiny, 0.5, True), (tiny, 10.0, False),
+                            (overflow, 1.9534, True), (subnormal, 1.5, True),
+                            (subnormal, 10.0, False)]:
+        assert (matrix_probabilities(mat).tsallis_grid(q) is not None) == columns
+
+
+def test_audit_calls_libm_once_per_distinct_value_and_exponent(monkeypatch):
+    state = helpers.random_state(16, np.random.default_rng(18))
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(math, "pow", counting("pow", math.pow))
+    monkeypatch.setattr(math, "log", counting("log", math.log))
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    report = dichoq.vn_inequality_suite(state)
+    for a, b in pairs:
+        for q in cli.DEFAULT_Q:
+            report.extend(dichoq.tsallis_inequality(state, a, b, EntropyParams(q)))
+    # 2 * 120 + 15 = 255 distinct probabilities, all inside (0, 1); the
+    # default q (0.5, 2, 5) take the exponents 0.5, 2, -1, 5 and -4 on the
+    # bases p and 1 - p
+    assert calls == {"pow": 10 * 255, "log": 2 * 255}
+    calls.clear()
+    again = dichoq.tsallis_inequality(state, 1, 2, EntropyParams(cli.DEFAULT_Q[1]))
+    assert calls == {}
+    assert _row_bytes(_suite_rows(report)) == _row_bytes(
+        helpers.audit_rows_oracle(np.asarray(state), cli.DEFAULT_Q)
+    )
+    first = report.names.index(again.names[0])
+    assert report.lhs[first : first + len(again)] == again.lhs
 
 
 def test_state_probabilities_derived_once_per_state(monkeypatch):
